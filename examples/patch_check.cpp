@@ -2,9 +2,10 @@
  * @file
  * §IV-G reproduced as an example: use Coppelia to verify whether a
  * security patch actually fixed a vulnerability, and to refine an
- * assertion set. Demonstrates all three verdicts: a complete fix (b24),
- * the incomplete b20 comparator patch, and a "not true" assertion that
- * fires on the fully-correct design.
+ * assertion set. Demonstrates three verdicts: a complete fix (b03), the
+ * incomplete b20 comparator patch, and a "not true" assertion that fires
+ * on the fully-correct design. A fix only passes when the patched search
+ * completes; one that runs out of budget first is "inconclusive".
  *
  * Build & run:  ./build/examples/patch_check
  */
@@ -64,6 +65,9 @@ checkPatch(cpu::BugId id, const char *assert_id)
 
     std::printf("  %s patch for %s: %s\n", cpu::bugName(id).c_str(),
                 assert_id, core::patchVerdictName(v));
+    if (v == core::PatchVerdict::Inconclusive)
+        std::printf("  (the patched search ran out of budget before it "
+                    "could rule the violation out)\n");
 }
 
 } // namespace
@@ -75,7 +79,7 @@ main()
                 "(§IV-G) ===\n\n");
 
     std::printf("Complete fix — the exploit disappears after patching:\n");
-    checkPatch(cpu::BugId::b24, "a24_gpr0_zero");
+    checkPatch(cpu::BugId::b03, "a03_rfe_restores_sr");
 
     std::printf("\nIncomplete fix — the patched comparator still fails "
                 "for both-MSBs-set operands:\n");

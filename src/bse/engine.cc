@@ -797,6 +797,10 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     result.stats.inc("solver_sat_calls", solver.stats().get("sat_calls"));
     result.stats.inc("solver_cache_hits",
                      solver.stats().get("cache_hits"));
+    result.stats.inc("solver_model_reuse_hits",
+                     solver.stats().get("model_reuse_hits"));
+    result.stats.inc("solver_trivially_unsat",
+                     solver.stats().get("trivially_unsat"));
     result.stats.inc("solver_incremental_queries",
                      solver.stats().get("incremental_queries"));
     result.stats.inc("solver_blast_cache_hits",

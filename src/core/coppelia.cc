@@ -12,6 +12,7 @@ patchVerdictName(PatchVerdict v)
       case PatchVerdict::Pass: return "pass";
       case PatchVerdict::BugNotFixed: return "bug-not-fixed";
       case PatchVerdict::WrongAssertion: return "wrong-assertion";
+      case PatchVerdict::Inconclusive: return "inconclusive";
     }
     return "?";
 }
@@ -111,8 +112,11 @@ verifyPatch(const DesignUnderTest &buggy, const DesignUnderTest &patched,
              buggy.assertion->id);
 
     ExploitResult after = on_patched.generateExploit(*patched.assertion);
-    if (!after.found())
-        return PatchVerdict::Pass;
+    if (!after.found()) {
+        const bool complete = after.outcome == bse::Outcome::NoViolation &&
+                              !after.solverIncomplete;
+        return complete ? PatchVerdict::Pass : PatchVerdict::Inconclusive;
+    }
 
     // Still exploitable: wrong assertion if even the fully-correct design
     // violates it, otherwise the patch is incomplete.

@@ -68,9 +68,12 @@ struct ExploitResult
 /** §IV-G patch-verification verdicts. */
 enum class PatchVerdict
 {
-    Pass,           ///< buggy core exploitable, patched core clean
+    Pass,           ///< patched core clean: a complete search, no violation
     BugNotFixed,    ///< the patched core is still exploitable
     WrongAssertion, ///< the assertion fires even on the correct design
+    /** The patched search found nothing but did not complete (budget or
+     *  bound exhausted, or a query stayed Unknown): no verdict. */
+    Inconclusive,
 };
 
 const char *patchVerdictName(PatchVerdict v);
@@ -106,9 +109,11 @@ struct DesignUnderTest
 
 /**
  * §IV-G: verify a patch. Expects an exploit on the buggy design and none
- * on the patched design; when the patched design is still exploitable the
- * verdict distinguishes an incomplete patch from a wrong assertion by
- * consulting the fully-correct reference design.
+ * on the patched design. Pass needs the patched search to end in a
+ * complete NoViolation; a search that merely ran out of budget is
+ * Inconclusive. When the patched design is still exploitable the verdict
+ * distinguishes an incomplete patch from a wrong assertion by consulting
+ * the fully-correct reference design.
  */
 PatchVerdict verifyPatch(const DesignUnderTest &buggy,
                          const DesignUnderTest &patched,

@@ -97,10 +97,13 @@ Solver::resetDecisionState()
     std::fill(heapPos_.begin(), heapPos_.end(), -1);
     // Rebuild in index order: with all activities equal, the heap then
     // serves variables in the same relative order a fresh solver's would.
-    // (heapInsert skips eliminated variables.)
+    // Equal activities never sift, so index order is already a valid heap
+    // and the variables are appended directly.
     for (Var v = 0; v < numVars(); ++v) {
-        if (assign_[v] == LBool::Undef)
-            heapInsert(v);
+        if (assign_[v] == LBool::Undef && !eliminated_[v]) {
+            heapPos_[v] = static_cast<int>(heap_.size());
+            heap_.push_back(v);
+        }
     }
 }
 
@@ -194,9 +197,12 @@ Solver::ClauseRef
 Solver::propagate()
 {
     ClauseRef confl = NoClause;
+    // The stats map is string-keyed, so dequeued literals are counted
+    // locally and added once per call rather than once per literal.
+    std::uint64_t dequeued = 0;
     while (qhead_ < trail_.size()) {
         Lit p = trail_[qhead_++];
-        stats_.inc("propagations");
+        ++dequeued;
 
         // Binary fast path: the watcher carries the implied literal, so
         // no clause memory is touched unless we enqueue or conflict.
@@ -268,6 +274,8 @@ Solver::propagate()
         if (confl != NoClause)
             break;
     }
+    if (dequeued != 0)
+        stats_.inc("propagations", dequeued);
     return confl;
 }
 

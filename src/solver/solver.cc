@@ -106,10 +106,13 @@ Solver::canonicalKey(const std::vector<TermRef> &assertions)
 
 bool
 Solver::modelSatisfies(const std::vector<TermRef> &assertions,
-                       const Model &model) const
+                       ReuseSlot &slot)
 {
     for (TermRef a : assertions) {
-        if (tm_.eval(a, model) == 0)
+        auto [it, fresh] = slot.holds.try_emplace(a, false);
+        if (fresh)
+            it->second = tm_.eval(a, slot.model) != 0;
+        if (!it->second)
             return false;
     }
     return true;
@@ -135,12 +138,14 @@ Solver::rememberModel(const Model &model)
     if (opts_.maxRecentModels == 0)
         return;
     if (recentModels_.size() < opts_.maxRecentModels) {
-        recentModels_.push_back(model);
+        recentModels_.push_back(ReuseSlot{model, {}});
         return;
     }
     // Ring replacement: overwrite the oldest slot instead of the previous
-    // O(n) front-erase of the vector.
-    recentModels_[recentNext_] = model;
+    // O(n) front-erase of the vector. Its memo described the old model.
+    ReuseSlot &slot = recentModels_[recentNext_];
+    slot.model = model;
+    slot.holds.clear();
     recentNext_ = (recentNext_ + 1) % recentModels_.size();
 }
 
@@ -223,12 +228,12 @@ Solver::check(const std::vector<TermRef> &assertions, Model *model)
         }
         // Counterexample reuse: a model from an earlier query may already
         // satisfy this one, skipping the SAT call entirely.
-        for (const Model &m : recentModels_) {
-            if (modelSatisfies(*asserts, m)) {
+        for (ReuseSlot &slot : recentModels_) {
+            if (modelSatisfies(*asserts, slot)) {
                 stats_.inc("model_reuse_hits");
                 if (model)
-                    *model = m;
-                cacheInsert(key, CacheEntry{Result::Sat, m});
+                    *model = slot.model;
+                cacheInsert(key, CacheEntry{Result::Sat, slot.model});
                 return Result::Sat;
             }
         }

@@ -25,6 +25,14 @@
  * from previous satisfiable queries are tried against new queries before
  * paying for a SAT call. The cache is size-capped with FIFO eviction so a
  * long campaign job cannot grow it without bound.
+ *
+ * Each remembered model keeps a memo of the truth value of every
+ * assertion already evaluated under it, so a query that shares
+ * assertions with earlier ones (every query of one search does) only
+ * evaluates the assertions that slot has not seen. The memo is exact:
+ * terms are hash-consed and never freed, so a TermRef always names the
+ * same term, and a slot's model does not change until the slot is
+ * overwritten, which clears its memo.
  */
 
 #ifndef COPPELIA_SOLVER_SOLVER_HH
@@ -34,6 +42,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "solver/term.hh"
@@ -193,12 +202,22 @@ class Solver
 
     using Cache = std::map<std::vector<TermRef>, CacheEntry>;
 
+    /** One counterexample-reuse slot: a remembered model and the truth
+     *  value of each assertion already evaluated under it. */
+    struct ReuseSlot
+    {
+        Model model;
+        std::unordered_map<TermRef, bool> holds;
+    };
+
     /** Canonical cache key: sorted, deduplicated assertion refs. */
     static std::vector<TermRef>
     canonicalKey(const std::vector<TermRef> &assertions);
 
+    /** True iff the slot's model satisfies every assertion; evaluates
+     *  (and memoizes) only the assertions the slot has not seen. */
     bool modelSatisfies(const std::vector<TermRef> &assertions,
-                        const Model &model) const;
+                        ReuseSlot &slot);
 
     /** Insert with FIFO eviction against cacheMaxEntries. */
     void cacheInsert(const std::vector<TermRef> &key, CacheEntry entry);
@@ -236,7 +255,7 @@ class Solver
     SolverOptions opts_;
     Cache cache_;
     std::deque<Cache::iterator> cacheOrder_; ///< insertion order (FIFO)
-    std::vector<Model> recentModels_;        ///< counterexample-reuse ring
+    std::vector<ReuseSlot> recentModels_;    ///< counterexample-reuse ring
     std::size_t recentNext_ = 0;             ///< ring replacement cursor
     StatGroup stats_;
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -400,6 +401,15 @@ struct RediscoveryCase
     const char *fieldPrefix; ///< some divergence's field starts with this
     int knownTriggerLen;     ///< length of the known concrete trigger
 };
+
+// Print a case as its bug's name. Without this gtest prints the struct's raw
+// bytes, fieldPrefix's address among them, and CTest's case names (which
+// embed the printed parameter) would change from build to build.
+void
+PrintTo(const RediscoveryCase &c, std::ostream *os)
+{
+    *os << cpu::bugName(c.bug);
+}
 
 class FuzzerRediscovers : public ::testing::TestWithParam<RediscoveryCase>
 {

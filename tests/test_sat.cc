@@ -164,6 +164,82 @@ TEST(Sat, ConflictBudgetReturnsUnknown)
     EXPECT_EQ(s.solve({}, 1), SatResult::Unknown);
 }
 
+/**
+ * Adds one clause (~from | to) per link. With @p pad every clause also
+ * carries a literal that a unit added afterwards fixes false, so the
+ * links stay ternary and propagate through the watch lists instead of
+ * the binary fast path (the pad unit itself propagates one literal).
+ */
+void
+addLinks(Solver &s, const std::vector<std::pair<Lit, Lit>> &links, bool pad)
+{
+    const Var off = pad ? s.newVar() : 0;
+    for (const auto &[from, to] : links) {
+        std::vector<Lit> c{~from, to};
+        if (pad)
+            c.push_back(Lit(off, false));
+        ASSERT_TRUE(s.addClause(c));
+    }
+    if (pad) {
+        ASSERT_TRUE(s.addUnit(Lit(off, true)));
+    }
+}
+
+/** "propagations" counts every literal propagate() dequeues, exactly. */
+TEST(SatPropagationCount, ImplicationChainCountsEachLiteralOnce)
+{
+    constexpr int n = 12;
+    for (bool pad : {false, true}) {
+        Solver s;
+        std::vector<Var> x;
+        for (int i = 0; i <= n; ++i)
+            x.push_back(s.newVar());
+        std::vector<std::pair<Lit, Lit>> links;
+        for (int i = 0; i < n; ++i)
+            links.push_back({Lit(x[i], false), Lit(x[i + 1], false)});
+        addLinks(s, links, pad);
+        ASSERT_EQ(s.stats().get("propagations"), pad ? 1u : 0u);
+
+        // x0 = 1 propagates the whole chain from the root: x0..xn.
+        ASSERT_TRUE(s.addUnit(Lit(x[0], false)));
+        EXPECT_EQ(s.stats().get("propagations"), (pad ? 1u : 0u) + n + 1)
+            << (pad ? "watch-list path" : "binary path");
+        // Nothing is left to propagate or decide.
+        EXPECT_EQ(s.solve(), SatResult::Sat);
+        EXPECT_EQ(s.stats().get("propagations"), (pad ? 1u : 0u) + n + 1);
+        for (Var v : x)
+            EXPECT_EQ(s.value(v), LBool::True);
+    }
+}
+
+/** A conflict stops propagation: the implied literals still on the trail
+ *  were never dequeued, so they are not counted. */
+TEST(SatPropagationCount, ConflictLeavesTrailLiteralsUncounted)
+{
+    constexpr int n = 12;
+    for (bool pad : {false, true}) {
+        Solver s;
+        std::vector<Var> x;
+        for (int i = 0; i <= n; ++i)
+            x.push_back(s.newVar());
+        const Var z = s.newVar();
+        std::vector<std::pair<Lit, Lit>> links;
+        for (int i = 0; i < n; ++i)
+            links.push_back({Lit(x[i], false), Lit(x[i + 1], false)});
+        // xn -> z and xn -> ~z: dequeuing xn implies one of them and then
+        // conflicts on the other, which is never dequeued.
+        links.push_back({Lit(x[n], false), Lit(z, false)});
+        links.push_back({Lit(x[n], false), Lit(z, true)});
+        addLinks(s, links, pad);
+        const std::uint64_t before = s.stats().get("propagations");
+
+        EXPECT_FALSE(s.addUnit(Lit(x[0], false)));
+        EXPECT_EQ(s.stats().get("propagations") - before, n + 1u)
+            << (pad ? "watch-list path" : "binary path");
+        EXPECT_EQ(s.solve(), SatResult::Unsat);
+    }
+}
+
 /** Brute-force reference check over all assignments. */
 bool
 bruteForceSat(int nvars, const std::vector<std::vector<Lit>> &clauses)

@@ -3,10 +3,14 @@
  * Tests for the bit-vector theory layer: construction-time simplification,
  * concrete term evaluation, bit-blasting correctness (property sweeps pin
  * variables to random constants and require the solver's model to agree
- * with reference arithmetic), and the counterexample cache.
+ * with reference arithmetic), and the counterexample cache, including a
+ * differential check of counterexample reuse against a plain scan.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "solver/solver.hh"
 #include "solver/term.hh"
@@ -557,6 +561,179 @@ TEST(SolverFacade, RecentModelRingStaysBoundedAndCorrect)
     ASSERT_EQ(s.check(tm.mkUlt(tm.mkConst(8, 50), x), &m), Result::Sat);
     EXPECT_EQ(s.stats().get("sat_calls"), calls_before);
     EXPECT_GT(m.value(tm.term(x).varId), 50u);
+}
+
+/**
+ * A slot that the ring overwrites must forget what its old model said:
+ * an assertion false under the old model and true under the new one is
+ * answered from the slot, and one true under the old model and false
+ * under the new one is not.
+ */
+TEST(ReuseDifferential, OverwrittenSlotIsReevaluated)
+{
+    TermManager tm;
+    SolverOptions opts;
+    opts.maxRecentModels = 2;
+    Solver s(tm, opts);
+    TermRef x = tm.mkVar("x", 8);
+    TermRef y = tm.mkVar("y", 8);
+    auto xIs = [&](std::uint64_t k) { return tm.mkEq(x, tm.mkConst(8, k)); };
+    TermRef x_small = tm.mkUlt(x, tm.mkConst(8, 2));
+
+    Model m;
+    ASSERT_EQ(s.check(xIs(1), &m), Result::Sat); // slot 0: x = 1
+    // Slot 0 evaluates x < 2 (true) and x == 3 (false) before x = 3 is
+    // solved into slot 1.
+    ASSERT_EQ(s.check({x_small, xIs(3)}, &m), Result::Unsat);
+    ASSERT_EQ(s.check(xIs(3), &m), Result::Sat); // slot 1: x = 3
+    ASSERT_EQ(s.check(xIs(4), &m), Result::Sat); // overwrites slot 0
+    EXPECT_EQ(s.stats().get("model_reuse_hits"), 0u);
+
+    // x == 4 was false under slot 0's old model, true under its new one.
+    const std::uint64_t calls = s.stats().get("sat_calls");
+    ASSERT_EQ(s.check({xIs(4), tm.mkEq(y, tm.mkConst(8, 0))}, &m),
+              Result::Sat);
+    EXPECT_EQ(s.stats().get("model_reuse_hits"), 1u);
+    EXPECT_EQ(s.stats().get("sat_calls"), calls);
+    EXPECT_EQ(m.value(tm.term(x).varId), 4u);
+
+    // x < 2 was true under slot 0's old model, false under its new one
+    // (and under slot 1's): the query needs a SAT call.
+    ASSERT_EQ(s.check({x_small, tm.mkUlt(y, tm.mkConst(8, 9))}, &m),
+              Result::Sat);
+    EXPECT_EQ(s.stats().get("sat_calls"), calls + 1);
+    EXPECT_LT(m.value(tm.term(x).varId), 2u);
+}
+
+/**
+ * Differential property of counterexample reuse: over random streams of
+ * conjunctions drawn from shared random sub-terms, a mirror of the
+ * solver's ring, filled from the models of the queries that went to SAT,
+ * predicts every answer with a plain tm.eval scan. A query that some
+ * mirrored slot satisfies is answered with the first such slot's model
+ * and no SAT call; one that no slot satisfies goes to SAT. Rings of 2-4
+ * models keep overwriting slots, and the mirror counts the lookups where
+ * a slot's earlier occupant gave an assertion the opposite truth value,
+ * which a memo kept across the overwrite would answer wrongly.
+ */
+TEST(ReuseDifferential, AnswersMatchPlainScanOfMirroredRing)
+{
+    std::uint64_t reuse_answers = 0, sat_dispatches = 0, stale_lookups = 0;
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        coppelia::Rng rng(seed);
+        TermManager tm;
+        SolverOptions opts;
+        opts.maxRecentModels = 2 + rng.below(3);
+        opts.rewrite = rng.flip();
+        Solver s(tm, opts);
+
+        // Narrow words so that models satisfy each other's queries often.
+        std::vector<TermRef> words;
+        for (int i = 0; i < 3; ++i)
+            words.push_back(tm.mkVar("v" + std::to_string(i), 4));
+        auto word = [&] { return words[rng.below(words.size())]; };
+        for (int i = 0; i < 3; ++i) {
+            TermRef a = word(), b = word();
+            switch (rng.below(3)) {
+              case 0: words.push_back(tm.mkAdd(a, b)); break;
+              case 1: words.push_back(tm.mkXor(a, b)); break;
+              default:
+                words.push_back(tm.mkAnd(a, tm.mkConst(4, rng.below(16))));
+            }
+        }
+        std::vector<TermRef> atoms;
+        for (int i = 0; i < 10; ++i) {
+            TermRef a = word();
+            TermRef b = rng.flip() ? tm.mkConst(4, rng.below(16)) : word();
+            switch (rng.below(3)) {
+              case 0: atoms.push_back(tm.mkEq(a, b)); break;
+              case 1: atoms.push_back(tm.mkUlt(a, b)); break;
+              default: atoms.push_back(tm.mkNot(tm.mkEq(a, b)));
+            }
+        }
+
+        struct MirrorSlot
+        {
+            Model model;
+            /** First truth value each assertion had under any occupant
+             *  of the slot: what a memo kept across overwrites holds. */
+            std::map<TermRef, bool> uncleared;
+        };
+        std::vector<MirrorSlot> ring;
+        std::size_t next = 0;
+
+        for (int q = 0; q < 40; ++q) {
+            std::vector<TermRef> cs;
+            const std::uint64_t k = 1 + rng.below(3);
+            for (std::uint64_t i = 0; i < k; ++i)
+                cs.push_back(atoms[rng.below(atoms.size())]);
+
+            const StatGroup before = s.stats();
+            Model m;
+            const Result r = s.check(cs, &m);
+            auto moved = [&](const char *name) {
+                return s.stats().get(name) != before.get(name);
+            };
+            const std::string where =
+                "seed " + std::to_string(seed) + " q " + std::to_string(q);
+
+            // Exact repeats (after rewriting) hit the exact-key cache,
+            // and constant-false conjunctions short-circuit; neither
+            // reaches the reuse scan.
+            if (moved("cache_hits") || moved("trivially_unsat")) {
+                if (r == Result::Sat) {
+                    for (TermRef c : cs)
+                        ASSERT_EQ(tm.eval(c, m), 1u) << where;
+                }
+                continue;
+            }
+
+            // The plain scan, in ring order, each slot up to its first
+            // false assertion (the lookups a memo serves).
+            int expected = -1;
+            for (std::size_t i = 0; i < ring.size() && expected < 0; ++i) {
+                MirrorSlot &slot = ring[i];
+                bool all = true;
+                for (TermRef c : cs) {
+                    const bool v = tm.eval(c, slot.model) != 0;
+                    auto [it, fresh] = slot.uncleared.try_emplace(c, v);
+                    if (!fresh && it->second != v)
+                        ++stale_lookups;
+                    if (!v) {
+                        all = false;
+                        break;
+                    }
+                }
+                if (all)
+                    expected = static_cast<int>(i);
+            }
+
+            if (expected >= 0) {
+                ++reuse_answers;
+                ASSERT_EQ(r, Result::Sat) << where;
+                ASSERT_TRUE(moved("model_reuse_hits")) << where;
+                ASSERT_FALSE(moved("sat_calls")) << where;
+                ASSERT_EQ(m.all(), ring[expected].model.all()) << where;
+                continue;
+            }
+            ++sat_dispatches;
+            ASSERT_TRUE(moved("sat_calls")) << where;
+            ASSERT_FALSE(moved("model_reuse_hits")) << where;
+            if (r != Result::Sat)
+                continue;
+            for (TermRef c : cs)
+                ASSERT_EQ(tm.eval(c, m), 1u) << where;
+            if (ring.size() < opts.maxRecentModels) {
+                ring.push_back(MirrorSlot{m, {}});
+            } else {
+                ring[next].model = m;
+                next = (next + 1) % ring.size();
+            }
+        }
+    }
+    EXPECT_GT(reuse_answers, 0u);
+    EXPECT_GT(sat_dispatches, 0u);
+    EXPECT_GT(stale_lookups, 0u);
 }
 
 TEST(BlastSoundness, NonByteWidthRangeConstraint)
