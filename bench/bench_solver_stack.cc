@@ -1,20 +1,23 @@
 /**
  * @file
  * Ablation for the solver simplification stack: word-level rewriting
- * before bit-blasting (--no-rewrite), root-level CNF pre/inprocessing
- * (--no-preprocess), and learnt-clause minimization (--no-minimize).
- * Runs the backward engine over the full in-scope Table II OR1200 bug
- * matrix once per configuration — all stages on, each stage ablated
- * alone, and all stages off — and compares cumulative solver time and
- * outcomes. The full matrix matters: the total is dominated by the
- * handful of long searches (b19/b26/b31), and a small-bug subset would
- * measure per-query constant overheads instead of search cost.
+ * before bit-blasting (opt-in, --rewrite), root-level CNF
+ * pre/inprocessing (opt-in, --preprocess), and learnt-clause
+ * minimization (on by default, --no-minimize). Runs the backward engine
+ * over the full in-scope Table II OR1200 bug matrix once per
+ * configuration — the shipped default (minimization only), all stages
+ * on, each stage ablated from all-on alone, and all stages off — and
+ * compares cumulative solver time and outcomes. The full matrix
+ * matters: the total is dominated by the handful of long searches
+ * (b19/b26/b31), and a small-bug subset would measure per-query
+ * constant overheads instead of search cost.
  *
  * Expectations this harness checks:
  *   - every configuration agrees on the outcome for every bug (the
  *     stack must change cost, never verdicts — this is the exit code);
  *   - the stack_speedup field reports stages-off total solver time over
- *     all-on total; the regression gate pins the absolute all-on time.
+ *     all-on total; the regression gate pins the absolute default and
+ *     all-on times.
  *
  * Triggers are not required to be byte-identical across ablations:
  * rewriting changes the CNF the SAT solver sees, so a query with many
@@ -57,12 +60,18 @@ struct StackConfig
 };
 
 const StackConfig kConfigs[] = {
-    {"stack", true, true, true},      ///< all stages on (the default)
+    {"default", smt::SolverOptions{}.rewrite, smt::SolverOptions{}.preprocess,
+     smt::SolverOptions{}.minimize}, ///< the shipped default
+    {"stack", true, true, true},      ///< all stages on
     {"norewrite", false, true, true},
     {"nopreprocess", true, false, true},
     {"nominimize", true, true, false},
     {"off", false, false, false},     ///< all stages off
 };
+constexpr std::size_t kNumConfigs = sizeof(kConfigs) / sizeof(kConfigs[0]);
+constexpr std::size_t kDefault = 0;
+constexpr std::size_t kStack = 1;
+constexpr std::size_t kOff = kNumConfigs - 1;
 
 struct RunResult
 {
@@ -147,9 +156,6 @@ main(int argc, char **argv)
         rows = cpu::bugsFor(cpu::Processor::OR1200, false);
     }
 
-    constexpr std::size_t kNumConfigs =
-        sizeof(kConfigs) / sizeof(kConfigs[0]);
-
     std::printf("Solver simplification-stack ablation (Table II "
                 "single-instruction OR1200 bugs)%s\n",
                 bench.smoke ? " [smoke]" : "");
@@ -157,9 +163,9 @@ main(int argc, char **argv)
                 "(median of %d run%s, solver threads %d)\n\n",
                 bench.repeat, bench.repeat == 1 ? "" : "s",
                 bench.solverThreads);
-    const std::vector<int> widths{5, 10, 11, 13, 11, 10, 9, 9};
-    printRow({"No.", "stack", "no-rewrite", "no-preprocess", "no-minimize",
-              "off", "speedup", "same-out"},
+    const std::vector<int> widths{5, 10, 10, 11, 13, 11, 10, 9, 9};
+    printRow({"No.", "default", "stack", "no-rewrite", "no-preprocess",
+              "no-minimize", "off", "speedup", "same-out"},
              widths);
     printRule(widths);
 
@@ -192,38 +198,43 @@ main(int argc, char **argv)
             agree = agree && results[c].trigger.outcome ==
                                  results[0].trigger.outcome;
         same_outcomes = same_outcomes && agree;
-        const double off = results[kNumConfigs - 1].solverSeconds;
-        const double on = results[0].solverSeconds;
+        const double off = results[kOff].solverSeconds;
+        const double on = results[kStack].solverSeconds;
         char ratio[32];
         std::snprintf(ratio, sizeof(ratio), "%.2fx",
                       on > 0.0 ? off / on : 0.0);
-        printRow({cpu::bugName(bug), fmtSecs(results[0].solverSeconds),
-                  fmtSecs(results[1].solverSeconds),
-                  fmtSecs(results[2].solverSeconds),
-                  fmtSecs(results[3].solverSeconds), fmtSecs(off), ratio,
-                  yn(agree)},
-                 widths);
+        std::vector<std::string> cells{cpu::bugName(bug)};
+        for (std::size_t c = 0; c < kNumConfigs; ++c)
+            cells.push_back(fmtSecs(results[c].solverSeconds));
+        cells.push_back(ratio);
+        cells.push_back(yn(agree));
+        printRow(cells, widths);
     }
     printRule(widths);
     const double stack_speedup =
-        totals[0] > 0.0 ? totals[kNumConfigs - 1] / totals[0] : 0.0;
+        totals[kStack] > 0.0 ? totals[kOff] / totals[kStack] : 0.0;
     char ratio[32];
     std::snprintf(ratio, sizeof(ratio), "%.2fx", stack_speedup);
-    printRow({"Total", fmtSecs(totals[0]), fmtSecs(totals[1]),
-              fmtSecs(totals[2]), fmtSecs(totals[3]),
-              fmtSecs(totals[kNumConfigs - 1]), ratio, yn(same_outcomes)},
-             widths);
+    std::vector<std::string> cells{"Total"};
+    for (std::size_t c = 0; c < kNumConfigs; ++c)
+        cells.push_back(fmtSecs(totals[c]));
+    cells.push_back(ratio);
+    cells.push_back(yn(same_outcomes));
+    printRow(cells, widths);
 
     std::printf("\nchecks: outcomes agree across all configurations: %s "
-                "(stack speedup %.2fx; the absolute all-on time is pinned "
-                "by the regression gate)\n",
+                "(stack speedup %.2fx; the absolute default and all-on "
+                "times are pinned by the regression gate)\n",
                 yn(same_outcomes).c_str(), stack_speedup);
+    std::printf("default solver total %.3fs (repeat spread %.3f..%.3fs)\n",
+                totals[kDefault], totals_min[kDefault],
+                totals_max[kDefault]);
     std::printf("all-on solver total %.3fs (repeat spread %.3f..%.3fs)\n",
-                totals[0], totals_min[0], totals_max[0]);
+                totals[kStack], totals_min[kStack], totals_max[kStack]);
     if (hard_bugs > 0)
         std::printf("hard rows (b19/b31) all-on solver total %.3fs, "
                     "stages-off %.3fs\n",
-                    hard_totals[0], hard_totals[kNumConfigs - 1]);
+                    hard_totals[kStack], hard_totals[kOff]);
 
     if (!bench.jsonPath.empty()) {
         // The shape scripts/check_bench_regression.py gates on.
@@ -259,9 +270,9 @@ main(int argc, char **argv)
             // b19/b31 subtotal: the class the EXPERIMENTS.md parallel
             // recipe compares across --solver-threads settings.
             v.set("hard_solver_stack_seconds",
-                  json::Value::number(hard_totals[0]));
+                  json::Value::number(hard_totals[kStack]));
             v.set("hard_solver_off_seconds",
-                  json::Value::number(hard_totals[kNumConfigs - 1]));
+                  json::Value::number(hard_totals[kOff]));
         }
         v.set("same_outcomes", json::Value::boolean(same_outcomes));
         std::ofstream out = openOutputOrDie(argv[0], bench.jsonPath);

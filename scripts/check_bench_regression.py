@@ -45,7 +45,10 @@ GATE_PROFILES = {
         "bool": ("same_outcomes", "any_1_5x_same"),
     },
     "bench_solver_stack": {
-        "time": {"total_solver_stack_seconds": None},
+        # The shipped default (rewrite and preprocess off) and the
+        # all-stages-on ablation are both gated.
+        "time": {"total_solver_default_seconds": None,
+                 "total_solver_stack_seconds": None},
         "bool": ("same_outcomes",),
     },
     "bench_fuzz_throughput": {

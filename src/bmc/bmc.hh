@@ -55,25 +55,28 @@ struct BmcOptions
     /** Wall-clock limit in seconds (0 = unlimited). */
     double timeLimitSeconds = 0.0;
     /** Persistent incremental SAT backend across per-depth queries (the
-     *  depth-k query shares the whole depth-(k-1) unrolling prefix). */
-    bool incrementalSolver = true;
+     *  depth-k query shares the whole depth-(k-1) unrolling prefix). This
+     *  and the eight solver fields after it take their defaults from
+     *  smt::SolverOptions. */
+    bool incrementalSolver = smt::SolverOptions{}.incremental;
     /** Per-query SAT conflict budget (-1 = unlimited); Unknowns walk the
      *  solver's escalation ladder (the historical single 4x retry at the
      *  defaults), then mark the result incomplete. */
-    std::int64_t solverConflictBudget = -1;
+    std::int64_t solverConflictBudget = smt::SolverOptions{}.conflictBudget;
     /** Solver simplification-stack ablations (see smt::SolverOptions). */
-    bool solverRewrite = true;
-    bool solverPreprocess = true;
-    bool solverMinimize = true;
+    bool solverRewrite = smt::SolverOptions{}.rewrite;
+    bool solverPreprocess = smt::SolverOptions{}.preprocess;
+    bool solverMinimize = smt::SolverOptions{}.minimize;
     /** Racer threads for the solver's parallel escalation stages
      *  (1 = sequential, bit-for-bit the baseline). */
-    int solverThreads = 1;
+    int solverThreads = smt::SolverOptions{}.threads;
     /** Portfolio-race stage of the escalation chain. */
-    bool solverPortfolio = true;
+    bool solverPortfolio = smt::SolverOptions{}.portfolio;
     /** Per-cube conflict budget for cube-and-conquer (0 = auto). */
-    std::int64_t solverCubeBudget = 0;
+    std::int64_t solverCubeBudget = smt::SolverOptions{}.cubeBudget;
     /** Adaptive rewrite/preprocess payoff heuristics. */
-    smt::AdaptiveSimplify solverAdaptive = smt::AdaptiveSimplify::Auto;
+    smt::AdaptiveSimplify solverAdaptive =
+        smt::SolverOptions{}.adaptiveSimplify;
     /** Simulation substrate for the from-reset counterexample replay. */
     rtl::SimBackend simBackend = rtl::SimBackend::Interpret;
     /** Constrain instruction inputs to legal opcodes (§II-E1 parity with

@@ -106,10 +106,12 @@ BackwardEngine::buildTrigger(const props::Assertion &assertion)
     // budget (and not because of an explicit conflict-budget Unknown,
     // which would hit the fresh backend identically), rerun once with the
     // known-good fresh witness stream before reporting failure. The rerun
-    // also drops the solver simplification stack: rewriting and
-    // preprocessing reshape the CNF and therefore the witness stream, so
-    // the recovery path uses the plain encoding whose convergence the
-    // stitching heuristics were tuned against.
+    // also drops whatever simplification stages are on. At the defaults
+    // the encoding is already plain (rewriting and preprocessing are
+    // opt-in), so it only switches backend and drops learnt-clause
+    // minimization; with `--rewrite` / `--preprocess` it also returns to
+    // the plain CNF whose witness stream the stitching heuristics were
+    // tuned against.
     trace::instant("bse.fallback", "bse");
     recorder::event("fallback", "", -1);
     TriggerResult fresh = searchTrigger(assertion, /*use_incremental=*/false,

@@ -90,12 +90,13 @@ struct Options
     int maxFeedbackRounds = 128;
     /** Persistent incremental SAT backend for the search's queries (the
      *  `--no-incremental` ablation flips this off for a fresh SAT
-     *  instance per query). */
-    bool incrementalSolver = true;
+     *  instance per query). This and the eight solver fields after it
+     *  take their defaults from smt::SolverOptions. */
+    bool incrementalSolver = smt::SolverOptions{}.incremental;
     /** Per-query SAT conflict budget (-1 = unlimited). A query that
      *  exhausts it is retried once with 4x the budget; a still-Unknown
      *  query marks the search incomplete instead of pruning the branch. */
-    std::int64_t solverConflictBudget = -1;
+    std::int64_t solverConflictBudget = smt::SolverOptions{}.conflictBudget;
     /**
      * Witness-sensitivity fallback: the stitching heuristics steer by the
      * concrete models the solver returns, so a backend whose witness
@@ -106,26 +107,27 @@ struct Options
      * which would recur — is rerun once on the fresh backend.
      */
     bool incrementalFallback = true;
-    /** Word-level rewriting of assertions before bit-blasting (the
-     *  `--no-rewrite` ablation flips this off). */
-    bool solverRewrite = true;
-    /** Root-level CNF preprocessing + periodic inprocessing (the
-     *  `--no-preprocess` ablation flips this off). */
-    bool solverPreprocess = true;
+    /** Word-level rewriting of assertions before bit-blasting (off by
+     *  default; the `--rewrite` ablation turns it on). */
+    bool solverRewrite = smt::SolverOptions{}.rewrite;
+    /** Root-level CNF preprocessing + periodic inprocessing (off by
+     *  default; the `--preprocess` ablation turns it on). */
+    bool solverPreprocess = smt::SolverOptions{}.preprocess;
     /** Learnt-clause minimization in conflict analysis (the
      *  `--no-minimize` ablation flips this off). */
-    bool solverMinimize = true;
+    bool solverMinimize = smt::SolverOptions{}.minimize;
     /** Racer threads for the solver's parallel escalation stages
      *  (`--solver-threads`; 1 = sequential, bit-for-bit the baseline). */
-    int solverThreads = 1;
+    int solverThreads = smt::SolverOptions{}.threads;
     /** Portfolio-race stage of the escalation chain (`--no-portfolio`). */
-    bool solverPortfolio = true;
+    bool solverPortfolio = smt::SolverOptions{}.portfolio;
     /** Per-cube conflict budget for cube-and-conquer (`--cube-budget`;
      *  0 = auto). */
-    std::int64_t solverCubeBudget = 0;
+    std::int64_t solverCubeBudget = smt::SolverOptions{}.cubeBudget;
     /** Adaptive rewrite/preprocess payoff heuristics
      *  (`--adaptive-simplify`; Auto = active only at threads > 1). */
-    smt::AdaptiveSimplify solverAdaptive = smt::AdaptiveSimplify::Auto;
+    smt::AdaptiveSimplify solverAdaptive =
+        smt::SolverOptions{}.adaptiveSimplify;
     /**
      * Iteration patience for the incremental attempt when the fallback is
      * armed: past this many iterations the search concedes to the fresh

@@ -96,30 +96,34 @@ struct CampaignSpec
     /** Re-queue attempts for jobs that exhaust solver/search budgets. */
     int maxRetries = 1;
     /** Incremental SAT backend for every job's solver; `incremental off`
-     *  (or the CLI's `--no-incremental`) is the fresh-instance ablation. */
-    bool incrementalSolver = true;
+     *  (or the CLI's `--no-incremental`) is the fresh-instance ablation.
+     *  This and the eight solver fields after it take their defaults
+     *  from smt::SolverOptions. */
+    bool incrementalSolver = smt::SolverOptions{}.incremental;
     /** Per-query SAT conflict budget (-1 = unlimited). */
-    std::int64_t solverConflictBudget = -1;
-    /** Solver simplification-stack ablations: `rewrite off` /
-     *  `--no-rewrite` skips word-level rewriting, `preprocess off` /
-     *  `--no-preprocess` skips CNF pre/inprocessing, `minimize off` /
+    std::int64_t solverConflictBudget = smt::SolverOptions{}.conflictBudget;
+    /** Solver simplification-stack ablations. Rewriting and
+     *  preprocessing are off by default: `rewrite on` / `--rewrite` adds
+     *  word-level rewriting, `preprocess on` / `--preprocess` adds CNF
+     *  pre/inprocessing. Minimization is on: `minimize off` /
      *  `--no-minimize` skips learnt-clause minimization. */
-    bool solverRewrite = true;
-    bool solverPreprocess = true;
-    bool solverMinimize = true;
+    bool solverRewrite = smt::SolverOptions{}.rewrite;
+    bool solverPreprocess = smt::SolverOptions{}.preprocess;
+    bool solverMinimize = smt::SolverOptions{}.minimize;
     /** Racer threads for the solver's parallel escalation stages
      *  (`solver-threads N` / `--solver-threads`; 1 = sequential,
      *  bit-for-bit the baseline). */
-    int solverThreads = 1;
+    int solverThreads = smt::SolverOptions{}.threads;
     /** Portfolio-race stage of the escalation chain
      *  (`portfolio on|off` / `--no-portfolio`). */
-    bool solverPortfolio = true;
+    bool solverPortfolio = smt::SolverOptions{}.portfolio;
     /** Per-cube conflict budget for cube-and-conquer
      *  (`cube-budget N` / `--cube-budget`; 0 = auto). */
-    std::int64_t solverCubeBudget = 0;
+    std::int64_t solverCubeBudget = smt::SolverOptions{}.cubeBudget;
     /** Adaptive rewrite/preprocess payoff heuristics
      *  (`adaptive-simplify on|off|auto` / `--adaptive-simplify`). */
-    smt::AdaptiveSimplify solverAdaptive = smt::AdaptiveSimplify::Auto;
+    smt::AdaptiveSimplify solverAdaptive =
+        smt::SolverOptions{}.adaptiveSimplify;
     /** Fuzz-kind knobs (`fuzz-execs`, `fuzz-stream`, `fuzz-handoffs`):
      *  stream executions per job, max stream length, and how many
      *  highest-proximity corpus states get a concolic BSEE hand-off. */

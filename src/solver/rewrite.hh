@@ -56,7 +56,12 @@ class Rewriter
     /** One rule application at the top node; NoTerm when none fires. */
     TermRef step(TermRef ref);
 
-    /** rewriteTop for nodes a rule just built (depth-bounded). */
+    /** rewriteTop for nodes a rule just built (depth-bounded). It does
+     *  not consult or fill memo_, so a node a rule rebuilds is rewritten
+     *  again each time; with the extract-distribution rules, which build
+     *  a narrower copy of a shared sub-DAG per slice, this is why the
+     *  stage inflates rather than shrinks the blasted formula (see
+     *  DESIGN.md "Simplification stack"). */
     TermRef
     rw(TermRef ref)
     {

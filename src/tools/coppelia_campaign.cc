@@ -58,10 +58,10 @@ usage(const char *argv0)
         "                     incremental-backend ablation)\n"
         "  --conflict-budget N  per-query SAT conflict cap (default:\n"
         "                     unlimited); Unknowns mark jobs incomplete\n"
-        "  --no-rewrite       skip word-level term rewriting before\n"
-        "                     bit-blasting (simplification-stack ablation)\n"
-        "  --no-preprocess    skip CNF pre/inprocessing (subsumption +\n"
-        "                     bounded variable elimination)\n"
+        "  --rewrite          add word-level term rewriting before\n"
+        "                     bit-blasting (ablation; default off)\n"
+        "  --preprocess       add CNF pre/inprocessing (subsumption +\n"
+        "                     bounded variable elimination; default off)\n"
         "  --no-minimize      skip learnt-clause minimization in conflict\n"
         "                     analysis\n"
         "  --solver-threads N racer threads for the solver's parallel\n"
@@ -125,7 +125,7 @@ main(int argc, char **argv)
     long long seed = -1;
     long long conflict_budget = -2; // -1 means "explicitly unlimited"
     bool no_incremental = false;
-    bool no_rewrite = false, no_preprocess = false, no_minimize = false;
+    bool rewrite = false, preprocess = false, no_minimize = false;
     int solver_threads = -1;
     bool no_portfolio = false;
     long long cube_budget = -1; // >= 0 = set on the command line
@@ -221,10 +221,10 @@ main(int argc, char **argv)
             retries = numeric(i, "--retries", to_int);
         } else if (arg == "--no-incremental") {
             no_incremental = true;
-        } else if (arg == "--no-rewrite") {
-            no_rewrite = true;
-        } else if (arg == "--no-preprocess") {
-            no_preprocess = true;
+        } else if (arg == "--rewrite") {
+            rewrite = true;
+        } else if (arg == "--preprocess") {
+            preprocess = true;
         } else if (arg == "--no-minimize") {
             no_minimize = true;
         } else if (arg == "--solver-threads") {
@@ -310,10 +310,10 @@ main(int argc, char **argv)
         spec.seed = static_cast<std::uint64_t>(seed);
     if (no_incremental)
         spec.incrementalSolver = false;
-    if (no_rewrite)
-        spec.solverRewrite = false;
-    if (no_preprocess)
-        spec.solverPreprocess = false;
+    if (rewrite)
+        spec.solverRewrite = true;
+    if (preprocess)
+        spec.solverPreprocess = true;
     if (no_minimize)
         spec.solverMinimize = false;
     if (conflict_budget >= -1)

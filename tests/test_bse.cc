@@ -346,6 +346,16 @@ struct Or1200BseCase
     std::size_t maxLen;
 };
 
+// Print a case as its bug's name. Without this gtest prints the struct's raw
+// bytes, uninitialised padding and assertId's address among them, and
+// CTest's case names (which embed the printed parameter) would change from
+// run to run.
+void
+PrintTo(const Or1200BseCase &c, std::ostream *os)
+{
+    *os << cpu::bugName(c.bug);
+}
+
 class Or1200Bse : public ::testing::TestWithParam<Or1200BseCase>
 {
 };

@@ -19,9 +19,12 @@
 #include <sstream>
 #include <thread>
 
+#include "bmc/bmc.hh"
+#include "bse/engine.hh"
 #include "campaign/campaign.hh"
 #include "campaign/scheduler.hh"
 #include "campaign/spec.hh"
+#include "solver/solver.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -228,6 +231,28 @@ job        mor1kx b32 bmc-ebmc
     EXPECT_EQ(mor1kx.bug, cpu::BugId::b32);
 
     EXPECT_FALSE(campaign::describeJobs(spec).empty());
+}
+
+TEST(CampaignSpec, SolverDefaultsComeFromSolverOptions)
+{
+    // Every layer that carries the nine solver settings takes its
+    // defaults from smt::SolverOptions, so a default flips in one place.
+    const smt::SolverOptions solver;
+    auto agrees = [&solver](const auto &opts, const char *layer) {
+        SCOPED_TRACE(layer);
+        EXPECT_EQ(opts.incrementalSolver, solver.incremental);
+        EXPECT_EQ(opts.solverConflictBudget, solver.conflictBudget);
+        EXPECT_EQ(opts.solverRewrite, solver.rewrite);
+        EXPECT_EQ(opts.solverPreprocess, solver.preprocess);
+        EXPECT_EQ(opts.solverMinimize, solver.minimize);
+        EXPECT_EQ(opts.solverThreads, solver.threads);
+        EXPECT_EQ(opts.solverPortfolio, solver.portfolio);
+        EXPECT_EQ(opts.solverCubeBudget, solver.cubeBudget);
+        EXPECT_EQ(opts.solverAdaptive, solver.adaptiveSimplify);
+    };
+    agrees(campaign::CampaignSpec{}, "campaign::CampaignSpec");
+    agrees(bse::Options{}, "bse::Options");
+    agrees(bmc::BmcOptions{}, "bmc::BmcOptions");
 }
 
 // --- Real exploit-generation campaigns ---------------------------------

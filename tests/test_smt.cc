@@ -200,6 +200,35 @@ TEST(SolverFacade, ModelReuseAvoidsSatCall)
     EXPECT_GE(s.stats().get("model_reuse_hits"), 1u);
 }
 
+TEST(SolverFacade, DefaultQueryRunsNeitherRewriteNorPreprocess)
+{
+    // A 16-bit multiply blasts to a few thousand clauses, past the
+    // preprocessing trigger, so the opt-in stages both run on it.
+    auto statsAfterQuery = [](const SolverOptions &opts) {
+        TermManager tm;
+        Solver s(tm, opts);
+        TermRef x = tm.mkVar("x", 16), y = tm.mkVar("y", 16);
+        std::vector<TermRef> q{
+            tm.mkEq(tm.mkMul(x, y), tm.mkConst(16, 15)),
+            tm.mkEq(x, tm.mkConst(16, 3))};
+        Model m;
+        EXPECT_EQ(s.check(q, &m), Result::Sat);
+        EXPECT_EQ(tm.eval(y, m), 5u);
+        return s.stats().all();
+    };
+    SolverOptions stack;
+    stack.rewrite = true;
+    stack.preprocess = true;
+    const auto opted_in = statsAfterQuery(stack);
+    EXPECT_EQ(opted_in.count("rewrite_us"), 1u);
+    EXPECT_EQ(opted_in.count("preprocess_us"), 1u);
+
+    const auto plain = statsAfterQuery(SolverOptions{});
+    EXPECT_EQ(plain.count("rewrite_us"), 0u);
+    EXPECT_EQ(plain.count("preprocess_us"), 0u);
+    EXPECT_EQ(plain.at("sat_calls"), 1u);
+}
+
 TEST(SolverFacade, CacheDisabled)
 {
     TermManager tm;
