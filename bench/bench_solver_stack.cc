@@ -1,30 +1,26 @@
 /**
  * @file
- * Ablation for the solver simplification stack: word-level rewriting
- * before bit-blasting (opt-in, --rewrite), root-level CNF
- * pre/inprocessing (opt-in, --preprocess), and learnt-clause
+ * Ablation for the solver's one simplification stage, learnt-clause
  * minimization (on by default, --no-minimize). Runs the backward engine
- * over the full in-scope Table II OR1200 bug matrix once per
- * configuration — the shipped default (minimization only), all stages
- * on, each stage ablated from all-on alone, and all stages off — and
- * compares cumulative solver time and outcomes. The full matrix
- * matters: the total is dominated by the handful of long searches
- * (b19/b26/b31), and a small-bug subset would measure per-query
- * constant overheads instead of search cost.
+ * over the full in-scope Table II OR1200 bug matrix twice — the shipped
+ * default, and `off` (minimization off, the configuration the BSEE's
+ * fallback rerun uses) — and compares cumulative solver time and
+ * outcomes. The full matrix matters: the total is dominated by the
+ * handful of long searches (b19/b26/b31), and a small-bug subset would
+ * measure per-query constant overheads instead of search cost.
  *
  * Expectations this harness checks:
- *   - every configuration agrees on the outcome for every bug (the
- *     stack must change cost, never verdicts — this is the exit code);
- *   - the stack_speedup field reports stages-off total solver time over
- *     all-on total; the regression gate pins the absolute default and
- *     all-on times.
+ *   - both configurations agree on the outcome for every bug
+ *     (minimization must change cost, never verdicts — this is the exit
+ *     code);
+ *   - the regression gate pins the absolute default time.
  *
- * Triggers are not required to be byte-identical across ablations:
- * rewriting changes the CNF the SAT solver sees, so a query with many
- * models may surface a different (equally valid, replay-validated)
- * witness. Cross-configuration outcome agreement plus the campaign-level
- * found/replayable parity checks cover correctness; this harness is the
- * cost meter.
+ * Triggers are not required to be byte-identical across the two:
+ * minimization changes the learnt clauses and the binary-clause watch
+ * order, so a query with many models may surface a different (equally
+ * valid, replay-validated) witness. Outcome agreement plus the
+ * campaign-level found/replayable parity checks cover correctness; this
+ * harness is the cost meter.
  *
  * With `--repeat N` each configuration's solver time is the median of N
  * runs (the engine is deterministic, so repeats only smooth machine
@@ -51,27 +47,19 @@ using namespace coppelia::bench;
 namespace
 {
 
-struct StackConfig
+struct SolverConfig
 {
     const char *name;    ///< column label and JSON key suffix
-    bool rewrite;
-    bool preprocess;
     bool minimize;
 };
 
-const StackConfig kConfigs[] = {
-    {"default", smt::SolverOptions{}.rewrite, smt::SolverOptions{}.preprocess,
-     smt::SolverOptions{}.minimize}, ///< the shipped default
-    {"stack", true, true, true},      ///< all stages on
-    {"norewrite", false, true, true},
-    {"nopreprocess", true, false, true},
-    {"nominimize", true, true, false},
-    {"off", false, false, false},     ///< all stages off
+const SolverConfig kConfigs[] = {
+    {"default", smt::SolverOptions{}.minimize}, ///< the shipped default
+    {"off", false},                             ///< minimization off
 };
 constexpr std::size_t kNumConfigs = sizeof(kConfigs) / sizeof(kConfigs[0]);
 constexpr std::size_t kDefault = 0;
-constexpr std::size_t kStack = 1;
-constexpr std::size_t kOff = kNumConfigs - 1;
+constexpr std::size_t kOff = 1;
 
 struct RunResult
 {
@@ -83,7 +71,7 @@ struct RunResult
 };
 
 RunResult
-runConfig(cpu::BugId bug, const StackConfig &cfg, const BenchOptions &bench)
+runConfig(cpu::BugId bug, const SolverConfig &cfg, const BenchOptions &bench)
 {
     RunResult r;
     std::vector<double> solver_samples, total_samples;
@@ -105,8 +93,6 @@ runConfig(cpu::BugId bug, const StackConfig &cfg, const BenchOptions &bench)
         opts.bound = bench.smoke ? 3 : 4;
         opts.timeLimitSeconds = 120.0;
         opts.preconditions = or1kPreconditions(d);
-        opts.solverRewrite = cfg.rewrite;
-        opts.solverPreprocess = cfg.preprocess;
         opts.solverMinimize = cfg.minimize;
         // At threads > 1 the facade walks its escalation ladder (budget
         // retries, portfolio race, cube-and-conquer) on stuck queries;
@@ -156,17 +142,15 @@ main(int argc, char **argv)
         rows = cpu::bugsFor(cpu::Processor::OR1200, false);
     }
 
-    std::printf("Solver simplification-stack ablation (Table II "
+    std::printf("Learnt-clause minimization ablation (Table II "
                 "single-instruction OR1200 bugs)%s\n",
                 bench.smoke ? " [smoke]" : "");
     std::printf("columns = cumulative solver time per configuration "
                 "(median of %d run%s, solver threads %d)\n\n",
                 bench.repeat, bench.repeat == 1 ? "" : "s",
                 bench.solverThreads);
-    const std::vector<int> widths{5, 10, 10, 11, 13, 11, 10, 9, 9};
-    printRow({"No.", "default", "stack", "no-rewrite", "no-preprocess",
-              "no-minimize", "off", "speedup", "same-out"},
-             widths);
+    const std::vector<int> widths{5, 10, 10, 9};
+    printRow({"No.", "default", "off", "same-out"}, widths);
     printRule(widths);
 
     double totals[kNumConfigs] = {};
@@ -198,43 +182,30 @@ main(int argc, char **argv)
             agree = agree && results[c].trigger.outcome ==
                                  results[0].trigger.outcome;
         same_outcomes = same_outcomes && agree;
-        const double off = results[kOff].solverSeconds;
-        const double on = results[kStack].solverSeconds;
-        char ratio[32];
-        std::snprintf(ratio, sizeof(ratio), "%.2fx",
-                      on > 0.0 ? off / on : 0.0);
         std::vector<std::string> cells{cpu::bugName(bug)};
         for (std::size_t c = 0; c < kNumConfigs; ++c)
             cells.push_back(fmtSecs(results[c].solverSeconds));
-        cells.push_back(ratio);
         cells.push_back(yn(agree));
         printRow(cells, widths);
     }
     printRule(widths);
-    const double stack_speedup =
-        totals[kStack] > 0.0 ? totals[kOff] / totals[kStack] : 0.0;
-    char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.2fx", stack_speedup);
     std::vector<std::string> cells{"Total"};
     for (std::size_t c = 0; c < kNumConfigs; ++c)
         cells.push_back(fmtSecs(totals[c]));
-    cells.push_back(ratio);
     cells.push_back(yn(same_outcomes));
     printRow(cells, widths);
 
-    std::printf("\nchecks: outcomes agree across all configurations: %s "
-                "(stack speedup %.2fx; the absolute default and all-on "
-                "times are pinned by the regression gate)\n",
-                yn(same_outcomes).c_str(), stack_speedup);
+    std::printf("\nchecks: outcomes agree across both configurations: %s "
+                "(the absolute default time is pinned by the regression "
+                "gate)\n",
+                yn(same_outcomes).c_str());
     std::printf("default solver total %.3fs (repeat spread %.3f..%.3fs)\n",
                 totals[kDefault], totals_min[kDefault],
                 totals_max[kDefault]);
-    std::printf("all-on solver total %.3fs (repeat spread %.3f..%.3fs)\n",
-                totals[kStack], totals_min[kStack], totals_max[kStack]);
     if (hard_bugs > 0)
-        std::printf("hard rows (b19/b31) all-on solver total %.3fs, "
-                    "stages-off %.3fs\n",
-                    hard_totals[kStack], hard_totals[kOff]);
+        std::printf("hard rows (b19/b31) default solver total %.3fs, "
+                    "minimization off %.3fs\n",
+                    hard_totals[kDefault], hard_totals[kOff]);
 
     if (!bench.jsonPath.empty()) {
         // The shape scripts/check_bench_regression.py gates on.
@@ -263,14 +234,13 @@ main(int argc, char **argv)
             v.set(std::string("total_") + kConfigs[c].name + "_seconds",
                   json::Value::number(wall_totals[c]));
         }
-        v.set("stack_speedup", json::Value::number(stack_speedup));
         v.set("hard_bugs",
               json::Value::number(static_cast<double>(hard_bugs)));
         if (hard_bugs > 0) {
             // b19/b31 subtotal: the class the EXPERIMENTS.md parallel
             // recipe compares across --solver-threads settings.
-            v.set("hard_solver_stack_seconds",
-                  json::Value::number(hard_totals[kStack]));
+            v.set("hard_solver_default_seconds",
+                  json::Value::number(hard_totals[kDefault]));
             v.set("hard_solver_off_seconds",
                   json::Value::number(hard_totals[kOff]));
         }
@@ -290,7 +260,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(trace::eventCount()));
     }
 
-    // Fail loudly if an ablation changes a verdict. Cost is gated by
+    // Fail loudly if the ablation changes a verdict. Cost is gated by
     // scripts/check_bench_regression.py against the committed baseline,
     // not here: a cost gate keyed to a ratio of two same-machine runs
     // would flake on machine noise without catching real regressions.

@@ -63,13 +63,10 @@ checkAssertion(const rtl::Design &design,
     smt::SolverOptions solver_opts;
     solver_opts.incremental = opts.incrementalSolver;
     solver_opts.conflictBudget = opts.solverConflictBudget;
-    solver_opts.rewrite = opts.solverRewrite;
-    solver_opts.preprocess = opts.solverPreprocess;
     solver_opts.minimize = opts.solverMinimize;
     solver_opts.threads = opts.solverThreads;
     solver_opts.portfolio = opts.solverPortfolio;
     solver_opts.cubeBudget = opts.solverCubeBudget;
-    solver_opts.adaptiveSimplify = opts.solverAdaptive;
     smt::Solver solver(tm, solver_opts);
 
     // Initial state: reset constants (EbmcLike) or free variables
@@ -191,9 +188,6 @@ checkAssertion(const rtl::Design &design,
     res.stats.inc("solver_learnts_retained",
                   solver.stats().get("learnts_retained"));
     res.stats.inc("solver_solve_us", solver.stats().get("solve_us"));
-    res.stats.inc("solver_rewrite_hits", solver.stats().get("rewrite_hits"));
-    res.stats.inc("solver_preprocess_clauses_removed",
-                  solver.stats().get("preprocess_clauses_removed"));
     res.stats.inc("solver_learnt_lits_saved",
                   solver.stats().get("learnt_lits_saved"));
     res.stats.inc("solver_escalations", solver.stats().get("escalations"));

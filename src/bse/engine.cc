@@ -106,16 +106,12 @@ BackwardEngine::buildTrigger(const props::Assertion &assertion)
     // budget (and not because of an explicit conflict-budget Unknown,
     // which would hit the fresh backend identically), rerun once with the
     // known-good fresh witness stream before reporting failure. The rerun
-    // also drops whatever simplification stages are on. At the defaults
-    // the encoding is already plain (rewriting and preprocessing are
-    // opt-in), so it only switches backend and drops learnt-clause
-    // minimization; with `--rewrite` / `--preprocess` it also returns to
-    // the plain CNF whose witness stream the stitching heuristics were
-    // tuned against.
+    // also turns learnt-clause minimization off, the configuration whose
+    // witness stream the stitching heuristics were tuned against.
     trace::instant("bse.fallback", "bse");
     recorder::event("fallback", "", -1);
     TriggerResult fresh = searchTrigger(assertion, /*use_incremental=*/false,
-                                        /*use_simplification=*/false);
+                                        /*use_minimization=*/false);
     fresh.stats.merge(result.stats);
     fresh.stats.inc("incremental_fallbacks");
     fresh.iterations += result.iterations;
@@ -126,7 +122,7 @@ BackwardEngine::buildTrigger(const props::Assertion &assertion)
 
 TriggerResult
 BackwardEngine::searchTrigger(const props::Assertion &assertion,
-                              bool use_incremental, bool use_simplification)
+                              bool use_incremental, bool use_minimization)
 {
     trace::Span search_span("bse.search", "bse");
     Timer timer;
@@ -136,15 +132,10 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     smt::SolverOptions solver_opts;
     solver_opts.incremental = use_incremental;
     solver_opts.conflictBudget = opts_.solverConflictBudget;
-    solver_opts.rewrite = use_simplification && opts_.solverRewrite;
-    solver_opts.preprocess = use_simplification && opts_.solverPreprocess;
-    solver_opts.minimize = use_simplification && opts_.solverMinimize;
+    solver_opts.minimize = use_minimization && opts_.solverMinimize;
     solver_opts.threads = opts_.solverThreads;
     solver_opts.portfolio = opts_.solverPortfolio;
     solver_opts.cubeBudget = opts_.solverCubeBudget;
-    solver_opts.adaptiveSimplify = use_simplification
-                                       ? opts_.solverAdaptive
-                                       : smt::AdaptiveSimplify::Off;
     smt::Solver solver(tm, solver_opts);
     sym::CycleExplorer explorer(design_, tm, solver, opts_.explorer);
 
@@ -814,10 +805,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     result.stats.inc("solver_cache_evictions",
                      solver.stats().get("cache_evictions"));
     result.stats.inc("solver_solve_us", solver.stats().get("solve_us"));
-    result.stats.inc("solver_rewrite_hits", solver.stats().get("rewrite_hits"));
-    result.stats.inc("solver_rewrite_us", solver.stats().get("rewrite_us"));
-    result.stats.inc("solver_preprocess_us",
-                     solver.stats().get("preprocess_us"));
     result.stats.inc("solver_sat_conflicts",
                      solver.stats().get("sat_conflicts"));
     result.stats.inc("solver_sat_decisions",
@@ -826,10 +813,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
                      solver.stats().get("sat_propagations"));
     result.stats.inc("solver_sat_restarts",
                      solver.stats().get("sat_restarts"));
-    result.stats.inc("solver_preprocess_clauses_removed",
-                     solver.stats().get("preprocess_clauses_removed"));
-    result.stats.inc("solver_preprocess_vars_eliminated",
-                     solver.stats().get("preprocess_vars_eliminated"));
     result.stats.inc("solver_learnt_lits_saved",
                      solver.stats().get("learnt_lits_saved"));
     result.stats.inc("solver_escalations", solver.stats().get("escalations"));
@@ -852,10 +835,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
                      solver.stats().get("cube_unsat_cubes"));
     result.stats.inc("solver_cube_unknown_cubes",
                      solver.stats().get("cube_unknown_cubes"));
-    result.stats.inc("solver_adaptive_rewrite_skips",
-                     solver.stats().get("adaptive_rewrite_skips"));
-    result.stats.inc("solver_adaptive_preprocess_backoffs",
-                     solver.stats().get("adaptive_preprocess_backoffs"));
     // Per-config win attribution carries dynamic names ("portfolio_win_"
     // + racer config); forward whatever configs actually won.
     for (const auto &[name, count] : solver.stats().all()) {

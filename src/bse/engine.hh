@@ -90,7 +90,7 @@ struct Options
     int maxFeedbackRounds = 128;
     /** Persistent incremental SAT backend for the search's queries (the
      *  `--no-incremental` ablation flips this off for a fresh SAT
-     *  instance per query). This and the eight solver fields after it
+     *  instance per query). This and the five solver fields after it
      *  take their defaults from smt::SolverOptions. */
     bool incrementalSolver = smt::SolverOptions{}.incremental;
     /** Per-query SAT conflict budget (-1 = unlimited). A query that
@@ -107,12 +107,6 @@ struct Options
      * which would recur — is rerun once on the fresh backend.
      */
     bool incrementalFallback = true;
-    /** Word-level rewriting of assertions before bit-blasting (off by
-     *  default; the `--rewrite` ablation turns it on). */
-    bool solverRewrite = smt::SolverOptions{}.rewrite;
-    /** Root-level CNF preprocessing + periodic inprocessing (off by
-     *  default; the `--preprocess` ablation turns it on). */
-    bool solverPreprocess = smt::SolverOptions{}.preprocess;
     /** Learnt-clause minimization in conflict analysis (the
      *  `--no-minimize` ablation flips this off). */
     bool solverMinimize = smt::SolverOptions{}.minimize;
@@ -124,10 +118,8 @@ struct Options
     /** Per-cube conflict budget for cube-and-conquer (`--cube-budget`;
      *  0 = auto). */
     std::int64_t solverCubeBudget = smt::SolverOptions{}.cubeBudget;
-    /** Adaptive rewrite/preprocess payoff heuristics
-     *  (`--adaptive-simplify`; Auto = active only at threads > 1). */
-    smt::AdaptiveSimplify solverAdaptive =
-        smt::SolverOptions{}.adaptiveSimplify;
+    /** Deleted settings; see smt::RemovedOption. */
+    smt::RemovedOption solverRewrite, solverPreprocess, solverAdaptive;
     /**
      * Iteration patience for the incremental attempt when the fallback is
      * armed: past this many iterations the search concedes to the fresh
@@ -218,11 +210,11 @@ class BackwardEngine
 
   private:
     /** One full search on the chosen backend (buildTrigger may run two).
-     *  The fallback rerun passes use_simplification=false so the recovery
-     *  path sees the plain (witness-stable) encoding. */
+     *  The fallback rerun passes use_minimization=false so the recovery
+     *  path sees the witness stream of the unminimized fresh solver. */
     TriggerResult searchTrigger(const props::Assertion &assertion,
                                 bool use_incremental,
-                                bool use_simplification = true);
+                                bool use_minimization = true);
 
     const rtl::Design &design_;
     Options opts_;

@@ -142,13 +142,10 @@ runExploitJob(const CampaignSpec &spec, const JobSpec &job,
     opts.engine.explorer.seed = seed;
     opts.engine.incrementalSolver = spec.incrementalSolver;
     opts.engine.solverConflictBudget = spec.solverConflictBudget;
-    opts.engine.solverRewrite = spec.solverRewrite;
-    opts.engine.solverPreprocess = spec.solverPreprocess;
     opts.engine.solverMinimize = spec.solverMinimize;
     opts.engine.solverThreads = spec.solverThreads;
     opts.engine.solverPortfolio = spec.solverPortfolio;
     opts.engine.solverCubeBudget = spec.solverCubeBudget;
-    opts.engine.solverAdaptive = spec.solverAdaptive;
 
     core::Coppelia tool(design, job.processor, opts);
     core::ExploitResult res = tool.generateExploit(assertion);
@@ -184,13 +181,10 @@ runBmcJob(const CampaignSpec &spec, const JobSpec &job,
     opts.timeLimitSeconds = jobTimeLimit(spec, job);
     opts.incrementalSolver = spec.incrementalSolver;
     opts.solverConflictBudget = spec.solverConflictBudget;
-    opts.solverRewrite = spec.solverRewrite;
-    opts.solverPreprocess = spec.solverPreprocess;
     opts.solverMinimize = spec.solverMinimize;
     opts.solverThreads = spec.solverThreads;
     opts.solverPortfolio = spec.solverPortfolio;
     opts.solverCubeBudget = spec.solverCubeBudget;
-    opts.solverAdaptive = spec.solverAdaptive;
     if (job.processor == cpu::Processor::PulpinoRi5cy) {
         opts.insnConstraint = [](smt::TermManager &tm, smt::TermRef v) {
             return cpu::riscv::rvLegalInsnConstraint(tm, v);
@@ -278,13 +272,10 @@ runFuzzJob(const CampaignSpec &spec, const JobSpec &job,
         base.explorer.seed = seed;
         base.incrementalSolver = spec.incrementalSolver;
         base.solverConflictBudget = spec.solverConflictBudget;
-        base.solverRewrite = spec.solverRewrite;
-        base.solverPreprocess = spec.solverPreprocess;
         base.solverMinimize = spec.solverMinimize;
         base.solverThreads = spec.solverThreads;
         base.solverPortfolio = spec.solverPortfolio;
         base.solverCubeBudget = spec.solverCubeBudget;
-        base.solverAdaptive = spec.solverAdaptive;
 
         int attempts = 0;
         for (const auto &[prox, prefix] : ranked) {

@@ -226,7 +226,7 @@ sectionSlowestQueries(std::string &h, const ReportData &d)
          "<th>iter</th><th>retry</th><th>result</th><th>backend</th>"
          "<th>wall</th><th>conflicts</th><th>decisions</th>"
          "<th>props</th><th>restarts</th><th>assumps</th>"
-         "<th>rewrites</th><th>preproc</th><th>minimized</th></tr>\n";
+         "<th>minimized</th></tr>\n";
     const std::size_t limit = std::min<std::size_t>(ranked.size(), 20);
     for (std::size_t i = 0; i < limit; ++i) {
         const json::Value &q = *ranked[i].line;
@@ -244,8 +244,6 @@ sectionSlowestQueries(std::string &h, const ReportData &d)
         h += tdr(fmtCount(num(q, "propagations")));
         h += tdr(fmtCount(num(q, "restarts")));
         h += tdr(fmtCount(num(q, "assumptions")));
-        h += tdr(fmtCount(num(q, "rewrite_hits")));
-        h += tdr(fmtCount(num(q, "preprocess_removed")));
         h += tdr(fmtCount(num(q, "learnt_lits_saved")));
         h += "</tr>\n";
     }

@@ -8,8 +8,8 @@
  *  - per-job summary in the Table II/VI layout (kind, bug, outcome,
  *    trigger length, wall and solver time, query counts);
  *  - slowest-query ranking across every job, each with its SAT stat
- *    fingerprint (conflicts/decisions/propagations/restarts, rewrite
- *    hits, preprocess eliminations, minimization savings);
+ *    fingerprint (conflicts/decisions/propagations/restarts,
+ *    minimization savings);
  *  - per-phase time breakdown from the trace fold;
  *  - rejection-reason histogram per search, from the recorder stream;
  *  - fuzz coverage-over-time timeline (inline SVG) with divergences.

@@ -108,6 +108,12 @@ parseSpec(std::istream &in, const std::string &origin)
                 bad(std::string("missing ") + what);
             return w;
         };
+        auto onOff = [&]() {
+            const std::string w = word("on/off");
+            if (w != "on" && w != "off")
+                bad("expected on or off");
+            return w == "on";
+        };
         auto intWord = [&](const char *what) {
             try {
                 return std::stoi(word(what));
@@ -150,33 +156,19 @@ parseSpec(std::istream &in, const std::string &origin)
         } else if (key == "retries") {
             spec.maxRetries = intWord("count");
         } else if (key == "incremental") {
-            spec.incrementalSolver = word("on/off") == "on";
+            spec.incrementalSolver = onOff();
         } else if (key == "conflict-budget") {
             spec.solverConflictBudget = intWord("count");
-        } else if (key == "rewrite") {
-            spec.solverRewrite = word("on/off") == "on";
-        } else if (key == "preprocess") {
-            spec.solverPreprocess = word("on/off") == "on";
         } else if (key == "minimize") {
-            spec.solverMinimize = word("on/off") == "on";
+            spec.solverMinimize = onOff();
         } else if (key == "solver-threads") {
             spec.solverThreads = intWord("count");
             if (spec.solverThreads < 1)
                 bad("thread count must be >= 1");
         } else if (key == "portfolio") {
-            spec.solverPortfolio = word("on/off") == "on";
+            spec.solverPortfolio = onOff();
         } else if (key == "cube-budget") {
             spec.solverCubeBudget = intWord("count");
-        } else if (key == "adaptive-simplify") {
-            const std::string mode = word("on/off/auto");
-            if (mode == "on")
-                spec.solverAdaptive = smt::AdaptiveSimplify::On;
-            else if (mode == "off")
-                spec.solverAdaptive = smt::AdaptiveSimplify::Off;
-            else if (mode == "auto")
-                spec.solverAdaptive = smt::AdaptiveSimplify::Auto;
-            else
-                bad("unknown adaptive-simplify mode");
         } else if (key == "fuzz-execs") {
             spec.fuzzExecs = intWord("count");
         } else if (key == "fuzz-stream") {
@@ -188,11 +180,11 @@ parseSpec(std::istream &in, const std::string &origin)
                                           &spec.simBackend))
                 bad("unknown sim backend");
         } else if (key == "require-backend") {
-            spec.requireBackend = word("on/off") == "on";
+            spec.requireBackend = onOff();
         } else if (key == "payload") {
-            spec.addPayload = word("on/off") == "on";
+            spec.addPayload = onOff();
         } else if (key == "replay") {
-            spec.validateByReplay = word("on/off") == "on";
+            spec.validateByReplay = onOff();
         } else if (key == "trace") {
             spec.traceFile = word("file");
         } else if (key == "artifacts") {

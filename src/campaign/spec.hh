@@ -97,18 +97,13 @@ struct CampaignSpec
     int maxRetries = 1;
     /** Incremental SAT backend for every job's solver; `incremental off`
      *  (or the CLI's `--no-incremental`) is the fresh-instance ablation.
-     *  This and the eight solver fields after it take their defaults
+     *  This and the five solver fields after it take their defaults
      *  from smt::SolverOptions. */
     bool incrementalSolver = smt::SolverOptions{}.incremental;
     /** Per-query SAT conflict budget (-1 = unlimited). */
     std::int64_t solverConflictBudget = smt::SolverOptions{}.conflictBudget;
-    /** Solver simplification-stack ablations. Rewriting and
-     *  preprocessing are off by default: `rewrite on` / `--rewrite` adds
-     *  word-level rewriting, `preprocess on` / `--preprocess` adds CNF
-     *  pre/inprocessing. Minimization is on: `minimize off` /
-     *  `--no-minimize` skips learnt-clause minimization. */
-    bool solverRewrite = smt::SolverOptions{}.rewrite;
-    bool solverPreprocess = smt::SolverOptions{}.preprocess;
+    /** Learnt-clause minimization (`minimize on|off` /
+     *  `--no-minimize`). */
     bool solverMinimize = smt::SolverOptions{}.minimize;
     /** Racer threads for the solver's parallel escalation stages
      *  (`solver-threads N` / `--solver-threads`; 1 = sequential,
@@ -120,10 +115,8 @@ struct CampaignSpec
     /** Per-cube conflict budget for cube-and-conquer
      *  (`cube-budget N` / `--cube-budget`; 0 = auto). */
     std::int64_t solverCubeBudget = smt::SolverOptions{}.cubeBudget;
-    /** Adaptive rewrite/preprocess payoff heuristics
-     *  (`adaptive-simplify on|off|auto` / `--adaptive-simplify`). */
-    smt::AdaptiveSimplify solverAdaptive =
-        smt::SolverOptions{}.adaptiveSimplify;
+    /** Deleted settings; see smt::RemovedOption. */
+    smt::RemovedOption solverRewrite, solverPreprocess, solverAdaptive;
     /** Fuzz-kind knobs (`fuzz-execs`, `fuzz-stream`, `fuzz-handoffs`):
      *  stream executions per job, max stream length, and how many
      *  highest-proximity corpus states get a concolic BSEE hand-off. */

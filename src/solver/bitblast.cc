@@ -12,7 +12,6 @@ BitBlaster::BitBlaster(TermManager &tm, sat::Solver &sat)
 {
     // A variable pinned true gives us constant literals.
     trueLit_ = Lit(sat_.newVar(), false);
-    sat_.setFrozen(trueLit_.var());
     sat_.addUnit(trueLit_);
 }
 
@@ -143,15 +142,8 @@ BitBlaster::blast(TermRef ref)
             }
             continue;
         }
-        std::vector<Lit> &bits = cache_[r] = lower(t);
+        cache_[r] = lower(t);
         ++termsLowered_;
-        // Term-boundary variables are the incremental contract: any of
-        // them can reappear in a later query's clauses or serve as an
-        // assumption literal, so CNF preprocessing must never eliminate
-        // them. Gate-internal Tseitin temporaries stay unfrozen (and
-        // eliminable).
-        for (Lit l : bits)
-            sat_.setFrozen(l.var());
     }
     return cache_.at(ref);
 }

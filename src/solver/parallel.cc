@@ -184,8 +184,7 @@ pickSplitVars(const sat::Solver &src, int depth,
 
     std::vector<sat::Var> vars;
     for (sat::Var v = 0; v < src.numVars(); ++v) {
-        if (src.value(v) == sat::LBool::Undef && !src.isEliminated(v) &&
-            score[v] > 0.0)
+        if (src.value(v) == sat::LBool::Undef && score[v] > 0.0)
             vars.push_back(v);
     }
     std::stable_sort(vars.begin(), vars.end(), [&](sat::Var a, sat::Var b) {

@@ -124,7 +124,7 @@ CubeOutcome cubeAndConquer(const sat::Solver &src,
  * Pick @p depth split variables by propagation-weighted occurrence
  * (clauses score 1/2^len, so short clauses — the ones whose variables
  * propagate soonest — dominate), a cheap stand-in for full lookahead.
- * Skips assigned, eliminated, and @p exclude variables; ties break by
+ * Skips assigned, clause-free, and @p exclude variables; ties break by
  * index so the split is deterministic for a given database.
  */
 std::vector<sat::Var> pickSplitVars(const sat::Solver &src, int depth,

@@ -50,8 +50,6 @@ recordToJson(const Record &r)
     v.set("decisions", json::Value::number(r.decisions));
     v.set("propagations", json::Value::number(r.propagations));
     v.set("restarts", json::Value::number(r.restarts));
-    v.set("rewrite_hits", json::Value::number(r.rewriteHits));
-    v.set("preprocess_removed", json::Value::number(r.preprocessRemoved));
     v.set("learnt_lits_saved", json::Value::number(r.learntLitsSaved));
     v.set("wall_us", json::Value::number(r.wallUs));
     v.set("mode", json::Value::string(modeName(r.mode)));

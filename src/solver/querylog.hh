@@ -3,9 +3,8 @@
  * Per-query solver forensics log. Every SAT dispatch (`smt.solve`) emits
  * one fixed-size record — who asked (campaign job, BSEE iteration,
  * assertion), how big the assumption frame was, what the SAT core did
- * (conflicts, decisions, propagations, restarts), what the
- * simplification stack saved (rewrite hits, preprocess eliminations,
- * learnt-literal minimization), the retry level, the wall time, and the
+ * (conflicts, decisions, propagations, restarts), what learnt-clause
+ * minimization saved, the retry level, the wall time, and the
  * three-valued result. Where the metrics registry answers "how much
  * total", the query log answers "which query" — the instrument the
  * slowest-query ranking, the /status forensics section, and
@@ -50,8 +49,10 @@ inline constexpr bool kEnabled = true;
 
 /** The per-job query-log artifact (queries.jsonl) schema version,
  *  emitted in the meta line that heads every flush. v2 added the
- *  parallel-dispatch fields (mode, racer, winner, cubes). */
-constexpr int kQuerylogSchemaVersion = 2;
+ *  parallel-dispatch fields (mode, racer, winner, cubes); v3 dropped
+ *  rewrite_hits and preprocess_removed with the solver stages that
+ *  filled them. */
+constexpr int kQuerylogSchemaVersion = 3;
 
 /** One SAT dispatch. POD: recording is a slot copy, no allocation. */
 struct Record
@@ -66,8 +67,6 @@ struct Record
     std::uint64_t decisions = 0;
     std::uint64_t propagations = 0;
     std::uint64_t restarts = 0;
-    std::uint64_t rewriteHits = 0; ///< word-level rewrite rules applied
-    std::uint64_t preprocessRemoved = 0; ///< clauses removed inprocessing
     std::uint64_t learntLitsSaved = 0; ///< minimization savings
     std::uint64_t wallUs = 0;
     int result = 0; ///< static_cast<int>(smt::Result): 0 Sat 1 Unsat 2 Unknown
@@ -164,7 +163,7 @@ json::Value recordToJson(const Record &r);
 
 /**
  * Write a drained buffer as JSONL: one meta line
- * (`{"meta":"querylog","schema_version":1,"recorded":N,"dropped":N,
+ * (`{"meta":"querylog","schema_version":3,"recorded":N,"dropped":N,
  * "total_wall_us":N}`) followed by one line per record. The meta line's
  * total_wall_us sums over every recorded query including dropped ones,
  * so it agrees exactly with the solver's solve_us accounting even when

@@ -23,8 +23,6 @@ Solver::newVar()
     watches_.emplace_back();
     binWatches_.emplace_back();
     binWatches_.emplace_back();
-    frozen_.push_back(0);
-    eliminated_.push_back(0);
     heapPos_.push_back(-1);
     heapInsert(v);
     return v;
@@ -73,7 +71,7 @@ Solver::siftDown(int i)
 void
 Solver::heapInsert(Var v)
 {
-    if (heapPos_[v] >= 0 || eliminated_[v])
+    if (heapPos_[v] >= 0)
         return;
     heap_.push_back(v);
     heapPos_[v] = static_cast<int>(heap_.size()) - 1;
@@ -100,7 +98,7 @@ Solver::resetDecisionState()
     // Equal activities never sift, so index order is already a valid heap
     // and the variables are appended directly.
     for (Var v = 0; v < numVars(); ++v) {
-        if (assign_[v] == LBool::Undef && !eliminated_[v]) {
+        if (assign_[v] == LBool::Undef) {
             heapPos_[v] = static_cast<int>(heap_.size());
             heap_.push_back(v);
         }
@@ -132,7 +130,7 @@ Solver::attachClause(ClauseRef cref)
         // Binary clauses live in their own watcher lists: the watcher
         // itself carries the implied literal, so propagation over them
         // never touches the clause database. The fast path is part of
-        // the stage-3 switch (setMinimizeLearnts): with it off,
+        // the minimization switch (setMinimizeLearnts): with it off,
         // binaries go to the regular lists so the baseline propagation
         // order — and witness stream — is preserved exactly.
         binWatches_[(~c.lits[0]).code()].push_back({c.lits[1], cref});
@@ -180,6 +178,21 @@ Solver::addClause(std::vector<Lit> lits)
     ++liveProblemClauses_;
     attachClause(static_cast<ClauseRef>(clauses_.size()) - 1);
     return true;
+}
+
+void
+Solver::rebuildWatches()
+{
+    for (auto &ws : watches_)
+        ws.clear();
+    for (auto &ws : binWatches_)
+        ws.clear();
+    for (ClauseRef cref = 0;
+         cref < static_cast<ClauseRef>(clauses_.size()); ++cref) {
+        if (!clauses_[cref].lits.empty())
+            attachClause(cref);
+    }
+    qhead_ = 0;
 }
 
 // --- propagation -------------------------------------------------------------
@@ -530,14 +543,8 @@ Solver::cloneInto(Solver &dst) const
         panic("cloneInto above decision level 0");
     if (dst.numVars() != 0 || dst.numClauses() != 0)
         panic("cloneInto target is not fresh");
-    for (Var v = 0; v < numVars(); ++v) {
+    for (Var v = 0; v < numVars(); ++v)
         dst.newVar();
-        dst.frozen_[v] = frozen_[v];
-        dst.eliminated_[v] = eliminated_[v];
-    }
-    // Rebuild the heap so eliminated variables drop out of the decision
-    // order (newVar inserted them before the mark was copied).
-    dst.resetDecisionState();
     if (!ok_) {
         dst.ok_ = false;
         return;
@@ -551,7 +558,7 @@ Solver::cloneInto(Solver &dst) const
     }
     for (const Clause &c : clauses_) {
         if (c.lits.empty())
-            continue; // dead (preprocessed or reduced away)
+            continue; // dead (reduced away)
         if (!dst.addClause(c.lits))
             return;
     }

@@ -4,10 +4,8 @@
  * dedicated binary-clause watcher fast path), first-UIP conflict analysis
  * with clause learning and recursive MiniSat-style learnt-clause
  * minimization, VSIDS-style activity-based decision heuristic, phase saving,
- * Luby restarts, assumption-based incremental solving, and SatELite-style
- * root-level preprocessing (subsumption, self-subsuming resolution, bounded
- * variable elimination over a frozen-variable set; see sat/simplify.cc).
- * This is the decision-procedure core under the bit-vector theory layer (the
+ * Luby restarts, and assumption-based incremental solving. This is the
+ * decision-procedure core under the bit-vector theory layer (the
  * KLEE/STP stand-in of the reproduction).
  */
 
@@ -162,14 +160,14 @@ class Solver
     std::size_t numLearnts() const { return learnts_.size(); }
 
     /** Total clauses (problem + learned) ever added to the database
-     *  (monotone; preprocessing marks removed clauses dead in place). */
+     *  (monotone; reduceDB marks removed learnts dead in place). */
     std::size_t numClauses() const { return clauses_.size(); }
 
     /**
      * Enable/disable learnt-clause minimization in analyze(). The
      * binary-clause watcher fast path rides the same switch: with it
      * off, binary clauses stay in the regular watch lists exactly as
-     * the unoptimized solver keeps them, so the stages-off
+     * the unoptimized solver keeps them, so the minimization-off
      * configuration preserves the baseline propagation order — and
      * with it the baseline witness stream — bit for bit.
      */
@@ -182,35 +180,6 @@ class Solver
         if (!clauses_.empty())
             rebuildWatches(); // migrate binaries between list kinds
     }
-
-    /**
-     * Mark @p v as frozen: preprocessing will never eliminate it. The
-     * bit-blaster freezes every term-boundary variable (anything that can
-     * reappear in later incremental clauses or serve as an assumption
-     * literal); only gate-internal Tseitin temporaries stay eliminable.
-     */
-    void
-    setFrozen(Var v)
-    {
-        frozen_[v] = 1;
-    }
-
-    bool isFrozen(Var v) const { return frozen_[v] != 0; }
-
-    /** True when preprocessing existentially eliminated @p v. Eliminated
-     *  variables appear in no clause and stay Undef in models. */
-    bool isEliminated(Var v) const { return eliminated_[v] != 0; }
-
-    /**
-     * SatELite-style root-level simplification (simplify.cc): removes
-     * root-satisfied clauses and root-false literals, backward
-     * subsumption + self-subsuming resolution over the problem clauses,
-     * then bounded variable elimination of unfrozen variables. Must be
-     * called at decision level 0. Returns false when simplification
-     * derives unsatisfiability (inconsistent() becomes true). Safe to
-     * rerun as inprocessing after cancelToRoot().
-     */
-    bool preprocess();
 
     /**
      * Tune the reduceDB trigger: fires when
@@ -288,8 +257,7 @@ class Solver
 
     /**
      * Replicate this solver into @p dst (which must be freshly
-     * constructed): same variable numbering, frozen/eliminated marks,
-     * root-implied units, and all live clauses (problem and learnt).
+     * constructed): same variable numbering, root-implied units, and all live clauses (problem and learnt).
      * Must be called at decision level 0. dst ends at level 0 with the
      * same root assignments, so models read from dst line up with this
      * solver's variable numbering — the facade's model readback works
@@ -365,18 +333,9 @@ class Solver
         return 1u << (varInfo_[v].level & 31);
     }
 
-    // Preprocessing internals (simplify.cc).
-    bool rootEnqueue(Lit l);
-    void clearRootReasons();
-    void sortLiveClauseLits();
-    std::size_t removeSatisfiedAndStrip();
-    bool subsumptionPass(std::size_t &clauses_removed,
-                         std::size_t &lits_removed);
-    bool eliminatePass(std::size_t &vars_eliminated);
-    void dropLearntsWithEliminatedVars();
+    /** Re-attach every live clause; the next propagate() re-visits the
+     *  whole trail over the new lists. */
     void rebuildWatches();
-    void markDead(ClauseRef cref);
-    bool isDead(ClauseRef cref) const { return clauses_[cref].lits.empty(); }
 
     // Activity bookkeeping.
     void bumpVar(Var v);
@@ -403,9 +362,7 @@ class Solver
     std::vector<Lit> analyzeStack_;
     std::vector<Lit> analyzeToClear_;
 
-    std::vector<char> frozen_;
-    std::vector<char> eliminated_;
-    std::size_t liveProblemClauses_ = 0; ///< maintained by addClause/preprocess
+    std::size_t liveProblemClauses_ = 0; ///< maintained by addClause
 
     double reduceDbFactor_ = 0.5;
     std::size_t reduceDbMargin_ = 1000;

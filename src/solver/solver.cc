@@ -6,7 +6,6 @@
 #include "solver/bitblast.hh"
 #include "solver/parallel.hh"
 #include "solver/querylog.hh"
-#include "solver/rewrite.hh"
 #include "solver/sat/sat.hh"
 #include "trace/trace.hh"
 #include "util/logging.hh"
@@ -42,12 +41,6 @@ struct LiveCounters
         {100, 1000, 10000, 100000, 1000000, 10000000},
         "latency of one SAT dispatch in microseconds (the region the "
         "smt.solve trace span brackets)");
-    metrics::Counter *rewriteHits = metrics::counter(
-        "solver_rewrite_hits",
-        "word-level rewrite rules applied before bit-blasting");
-    metrics::Counter *preprocessRemoved = metrics::counter(
-        "solver_preprocess_clauses_removed",
-        "clauses removed by CNF pre/inprocessing");
     metrics::Counter *learntLitsSaved = metrics::counter(
         "solver_learnt_lits_saved",
         "literals removed from learnt clauses by minimization");
@@ -80,14 +73,6 @@ live()
  *  class) escalates into the parallel stages, high enough that the
  *  cheap majority of queries never pays any parallel overhead. */
 constexpr std::int64_t kAutoConflictBudget = 20000;
-
-/** Adaptive rewrite gating: close a payoff window every this many
- *  rewritten queries and turn the stage off when it yielded fewer than
- *  one rule hit per 16 queries. */
-constexpr std::uint64_t kAdaptiveWindow = 128;
-/** While rewriting is adaptively off, probe it again on every 256th
- *  query so a workload shift can turn it back on. */
-constexpr std::uint64_t kAdaptiveProbeMask = 0xFF;
 
 } // namespace
 
@@ -155,59 +140,9 @@ Solver::check(const std::vector<TermRef> &assertions, Model *model)
     stats_.inc("queries");
     live().queries->inc();
 
-    // Stage 1 of the simplification stack: word-level rewriting. The
-    // rewritten assertions feed everything downstream — the constant
-    // short circuit, the query cache (more collisions on the canonical
-    // forms), model reuse, and bit-blasting. Any variable a rewrite
-    // eliminates entirely is a don't-care; readModel leaves it at zero,
-    // which matches the SAT core's all-False phase bias.
-    std::vector<TermRef> rewritten;
-    const std::vector<TermRef> *asserts = &assertions;
-    bool rewrite_now = opts_.rewrite;
-    if (rewrite_now && adaptiveActive() && adaptiveRewriteOff_ &&
-        (stats_.get("queries") & kAdaptiveProbeMask) != 0) {
-        // Adaptive policy: the last payoff window said rewriting does
-        // not pay on this query stream; skip it except for the
-        // periodic probe that lets it come back.
-        stats_.inc("adaptive_rewrite_skips");
-        rewrite_now = false;
-    }
-    if (rewrite_now) {
-        if (!rewriter_)
-            rewriter_ = std::make_unique<Rewriter>(tm_);
-        trace::Span span("smt.rewrite", "solver");
-        Timer rtimer;
-        const std::uint64_t hits0 = rewriter_->ruleHits();
-        rewritten.reserve(assertions.size());
-        for (TermRef a : assertions)
-            rewritten.push_back(rewriter_->rewrite(a));
-        const std::uint64_t hits = rewriter_->ruleHits() - hits0;
-        stats_.inc("rewrite_hits", hits);
-        stats_.inc("rewrite_us",
-                   static_cast<std::uint64_t>(rtimer.seconds() * 1e6));
-        live().rewriteHits->inc(hits);
-        // Attributed to the SAT dispatch this check() leads to (if any);
-        // solveCore consumes it into the query-log record.
-        pendingRewriteHits_ = hits;
-        asserts = &rewritten;
-        if (adaptiveActive()) {
-            adaptiveWindowQueries_ += 1;
-            adaptiveWindowHits_ += hits;
-            if (adaptiveWindowQueries_ >= kAdaptiveWindow) {
-                const bool off =
-                    adaptiveWindowHits_ < adaptiveWindowQueries_ / 16;
-                if (off != adaptiveRewriteOff_)
-                    stats_.inc("adaptive_rewrite_flips");
-                adaptiveRewriteOff_ = off;
-                adaptiveWindowQueries_ = 0;
-                adaptiveWindowHits_ = 0;
-            }
-        }
-    }
-
     // Constant-level short circuit: the simplifier folds trivially false
     // assertions to literal 0.
-    for (TermRef a : *asserts) {
+    for (TermRef a : assertions) {
         std::uint64_t k;
         if (tm_.isConst(a, &k) && k == 0) {
             stats_.inc("trivially_unsat");
@@ -217,7 +152,7 @@ Solver::check(const std::vector<TermRef> &assertions, Model *model)
 
     std::vector<TermRef> key;
     if (opts_.useCache) {
-        key = canonicalKey(*asserts);
+        key = canonicalKey(assertions);
         auto it = cache_.find(key);
         if (it != cache_.end()) {
             stats_.inc("cache_hits");
@@ -229,7 +164,7 @@ Solver::check(const std::vector<TermRef> &assertions, Model *model)
         // Counterexample reuse: a model from an earlier query may already
         // satisfy this one, skipping the SAT call entirely.
         for (ReuseSlot &slot : recentModels_) {
-            if (modelSatisfies(*asserts, slot)) {
+            if (modelSatisfies(assertions, slot)) {
                 stats_.inc("model_reuse_hits");
                 if (model)
                     *model = slot.model;
@@ -240,7 +175,7 @@ Solver::check(const std::vector<TermRef> &assertions, Model *model)
     }
 
     Model local;
-    Result r = solveCore(*asserts, &local);
+    Result r = solveCore(assertions, &local);
     if (r == Result::Sat && model)
         *model = local;
 
@@ -261,17 +196,6 @@ Solver::checkWithBudget(const std::vector<TermRef> &assertions, Model *model,
     Result r = check(assertions, model);
     opts_.conflictBudget = saved;
     return r;
-}
-
-bool
-Solver::adaptiveActive() const
-{
-    switch (opts_.adaptiveSimplify) {
-      case AdaptiveSimplify::On: return true;
-      case AdaptiveSimplify::Off: return false;
-      case AdaptiveSimplify::Auto: return opts_.threads > 1;
-    }
-    return false;
 }
 
 std::int64_t
@@ -316,27 +240,16 @@ Solver::escalate(const std::vector<TermRef> &assertions, Model *model)
 Result
 Solver::solveParallel(const std::vector<TermRef> &assertions, Model *model)
 {
-    // Mirrors check()'s wrapper: rewrite for canonical forms (memoized,
-    // near-free after the base attempt), then cache the verdict. No
-    // cache lookup — the base attempt already missed.
+    // Mirrors check()'s wrapper: cache the verdict. No cache lookup —
+    // the base attempt already missed.
     stats_.inc("queries");
     live().queries->inc();
-    std::vector<TermRef> rewritten;
-    const std::vector<TermRef> *asserts = &assertions;
-    if (opts_.rewrite && !(adaptiveActive() && adaptiveRewriteOff_)) {
-        if (!rewriter_)
-            rewriter_ = std::make_unique<Rewriter>(tm_);
-        rewritten.reserve(assertions.size());
-        for (TermRef a : assertions)
-            rewritten.push_back(rewriter_->rewrite(a));
-        asserts = &rewritten;
-    }
     std::vector<TermRef> key;
     if (opts_.useCache)
-        key = canonicalKey(*asserts);
+        key = canonicalKey(assertions);
 
     Model local;
-    Result r = solveParallelCore(*asserts, &local);
+    Result r = solveParallelCore(assertions, &local);
     if (r == Result::Sat && model)
         *model = local;
     if (opts_.useCache && r != Result::Unknown) {
@@ -391,7 +304,6 @@ Solver::solveParallelCore(const std::vector<TermRef> &assertions,
             incSat_ = std::make_unique<sat::Solver>();
             incSat_->setMinimizeLearnts(opts_.minimize);
             incBlaster_ = std::make_unique<BitBlaster>(tm_, *incSat_);
-            preprocessedClauses_ = 0;
         }
         incSat_->cancelToRoot();
         assumptions.reserve(assertions.size());
@@ -540,7 +452,6 @@ Solver::solveParallelCore(const std::vector<TermRef> &assertions,
         querylog::record(rec);
     }
     querylog::context().retry = 0;
-    pendingRewriteHits_ = 0;
     return out;
 }
 
@@ -553,14 +464,13 @@ Solver::solveCore(const std::vector<TermRef> &assertions, Model *model)
     // Per-query deltas for the forensics record: the backends accumulate
     // their SAT-core deltas into stats_, so the difference across the
     // dispatch is exactly this query's work.
-    std::uint64_t c0 = 0, d0 = 0, p0 = 0, r0 = 0, l0 = 0, pp0 = 0;
+    std::uint64_t c0 = 0, d0 = 0, p0 = 0, r0 = 0, l0 = 0;
     if constexpr (querylog::kEnabled) {
         c0 = stats_.get("sat_conflicts");
         d0 = stats_.get("sat_decisions");
         p0 = stats_.get("sat_propagations");
         r0 = stats_.get("sat_restarts");
         l0 = stats_.get("learnt_lits_saved");
-        pp0 = stats_.get("preprocess_clauses_removed");
     }
     // The span brackets exactly the region the solve_us counter times, so
     // a folded trace's smt.solve total, the solver_solve_us telemetry,
@@ -585,15 +495,11 @@ Solver::solveCore(const std::vector<TermRef> &assertions, Model *model)
         rec.propagations = stats_.get("sat_propagations") - p0;
         rec.restarts = stats_.get("sat_restarts") - r0;
         rec.learntLitsSaved = stats_.get("learnt_lits_saved") - l0;
-        rec.preprocessRemoved =
-            stats_.get("preprocess_clauses_removed") - pp0;
-        rec.rewriteHits = pendingRewriteHits_;
         rec.wallUs = us;
         rec.result = static_cast<int>(r);
         rec.incremental = opts_.incremental;
         querylog::record(rec);
     }
-    pendingRewriteHits_ = 0;
     return r;
 }
 
@@ -635,12 +541,6 @@ Solver::solveFresh(const std::vector<TermRef> &assertions, Model *model)
     if (sat.inconsistent())
         return Result::Unsat;
 
-    // No CNF preprocessing here: a full SatELite pass per throwaway
-    // instance costs more than it saves (measured ~4.6x total fresh-mode
-    // solver time on the smoke bugs). Preprocessing amortizes only over
-    // the persistent incremental database, where one pass serves the
-    // thousands of queries that follow (see solveIncremental).
-
     sat::SatResult sr = sat.solve({}, effectiveBudget());
     stats_.inc("sat_conflicts", sat.stats().get("conflicts"));
     stats_.inc("sat_decisions", sat.stats().get("decisions"));
@@ -672,7 +572,6 @@ Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model)
         incSat_ = std::make_unique<sat::Solver>();
         incSat_->setMinimizeLearnts(opts_.minimize);
         incBlaster_ = std::make_unique<BitBlaster>(tm_, *incSat_);
-        preprocessedClauses_ = 0;
     }
     stats_.inc("incremental_queries");
     live().incrementalQueries->inc();
@@ -711,52 +610,6 @@ Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model)
 
     if (incSat_->inconsistent())
         return Result::Unsat;
-
-    // Stage 2: root-level pre/inprocessing. The first run waits for a
-    // meaningful clause count; reruns trigger once the database has grown
-    // enough (new blasted frames and retained learnts) to re-pay the
-    // simplification cost — 25% growth measured best on the Table II
-    // matrix (both rarer full runs and a cheap strip-only tier between
-    // them benchmarked slower end to end). Assumption literals and every
-    // term-boundary variable are frozen by the blaster, so elimination
-    // only ever touches gate-internal Tseitin temporaries.
-    std::size_t growth = std::max<std::size_t>(1000, preprocessedClauses_ / 4);
-    if (adaptiveActive()) {
-        // Adaptive policy: unproductive inprocessing passes back the
-        // trigger off geometrically (formula size is the payoff feature;
-        // see the backoff update below).
-        growth *= preprocessBackoff_;
-    }
-    if (opts_.preprocess &&
-        incSat_->numClauses() > preprocessedClauses_ + growth) {
-        trace::Span pspan("sat.preprocess", "solver");
-        Timer ptimer;
-        const std::uint64_t r0 =
-            incSat_->stats().get("preprocess_clauses_removed");
-        const std::uint64_t v0 =
-            incSat_->stats().get("preprocess_vars_eliminated");
-        const bool consistent = incSat_->preprocess();
-        stats_.inc("preprocess_us",
-                   static_cast<std::uint64_t>(ptimer.seconds() * 1e6));
-        preprocessedClauses_ = incSat_->numClauses();
-        const std::uint64_t removed =
-            incSat_->stats().get("preprocess_clauses_removed") - r0;
-        stats_.inc("preprocess_clauses_removed", removed);
-        stats_.inc("preprocess_vars_eliminated",
-                   incSat_->stats().get("preprocess_vars_eliminated") - v0);
-        live().preprocessRemoved->inc(removed);
-        if (adaptiveActive()) {
-            if (removed * 100 < incSat_->numClauses()) {
-                preprocessBackoff_ =
-                    std::min<std::size_t>(preprocessBackoff_ * 2, 16);
-                stats_.inc("adaptive_preprocess_backoffs");
-            } else {
-                preprocessBackoff_ = 1;
-            }
-        }
-        if (!consistent)
-            return Result::Unsat;
-    }
 
     const std::uint64_t c0 = incSat_->stats().get("conflicts");
     const std::uint64_t d0 = incSat_->stats().get("decisions");

@@ -17,7 +17,13 @@
  *
  *  - Fresh (escape hatch, `SolverOptions::incremental = false`): a brand
  *    new SAT instance per query, re-blasting everything — the original
- *    behavior, kept for ablations and differential testing.
+ *    behavior, kept for ablations, differential testing, and the BSEE's
+ *    witness fallback rerun.
+ *
+ * Both backends hand the SAT core the plain Tseitin encoding: there is no
+ * word-level rewriting and no CNF pre/inprocessing. The one simplification
+ * stage left is learnt-clause minimization inside conflict analysis
+ * (`SolverOptions::minimize`).
  *
  * A counterexample cache in front of either backend mirrors KLEE's
  * counterexample caching (enabled in the paper's "Original KLEE" baseline
@@ -57,7 +63,6 @@ namespace coppelia::smt
 {
 
 class BitBlaster;
-class Rewriter;
 
 /** Outcome of a satisfiability query. */
 enum class Result
@@ -67,14 +72,16 @@ enum class Result
     Unknown, ///< conflict budget exhausted
 };
 
-/** Adaptive-simplification switch: Auto activates the per-query payoff
- *  heuristics only at threads > 1, so single-threaded runs stay
- *  bit-for-bit identical to the fixed-policy baseline. */
-enum class AdaptiveSimplify
+/**
+ * Placeholder for a deleted solver setting: the `solverRewrite`,
+ * `solverPreprocess` and `solverAdaptive` members of
+ * campaign::CampaignSpec, bse::Options and bmc::BmcOptions. It holds no
+ * value and nothing converts to it, so no code can set or read them.
+ * The type exists only because `perfbench/perfbench.cc` still copies
+ * those three members between the option structs.
+ */
+struct RemovedOption
 {
-    Off,
-    On,
-    Auto,
 };
 
 /** Solver configuration. */
@@ -90,22 +97,8 @@ struct SolverOptions
     std::size_t cacheMaxEntries = 1u << 16;
     /** Cap on remembered models for counterexample reuse. */
     std::size_t maxRecentModels = 64;
-    /** Word-level rewriting of assertions before bit-blasting (stage 1 of
-     *  the simplification stack; opt-in `--rewrite` ablation). Off by
-     *  default: it inflates what it feeds the blaster. A bound-3 EBMC
-     *  proof of b31-patched blasts 27,363 terms with it and 1,779
-     *  without, and the bmc-check workload runs ~10x faster with both
-     *  this and `preprocess` off (EXPERIMENTS.md). */
-    bool rewrite = false;
-    /** Root-level CNF preprocessing / inprocessing in the SAT core
-     *  (stage 2; opt-in `--preprocess` ablation). Incremental backend
-     *  only. Off by default: on the plain encoding it costs more than it
-     *  saves on every benchmark workload (bmc-check 10.1 -> 2.1 s,
-     *  exploit-matrix 8.7 -> 8.4 s, patch-sweep 8.1 -> 6.9 s with
-     *  rewriting already off). */
-    bool preprocess = false;
-    /** Learnt-clause minimization in conflict analysis (stage 3;
-     *  `--no-minimize` ablation). */
+    /** Learnt-clause minimization in conflict analysis
+     *  (`--no-minimize` ablation). */
     bool minimize = true;
     /**
      * Worker threads for the parallel escalation stages (portfolio race,
@@ -129,10 +122,6 @@ struct SolverOptions
      *  The default single rung reproduces the historical one-shot 4x
      *  retry exactly. */
     int budgetLadderRungs = 1;
-    /** Per-query payoff heuristics for the rewrite/preprocess stages
-     *  (formula size, incremental depth, windowed hit history decide
-     *  when a stage runs). See AdaptiveSimplify. */
-    AdaptiveSimplify adaptiveSimplify = AdaptiveSimplify::Auto;
 };
 
 /**
@@ -236,7 +225,7 @@ class Solver
                             Model *model);
 
     /** Parallel escalation stages (portfolio + cube); mirrors check()'s
-     *  rewrite/cache wrapper around solveParallelCore. */
+     *  cache wrapper around solveParallelCore. */
     Result solveParallel(const std::vector<TermRef> &assertions,
                          Model *model);
     Result solveParallelCore(const std::vector<TermRef> &assertions,
@@ -246,10 +235,6 @@ class Solver
      *  except that threads > 1 bounds an unlimited budget so hard
      *  queries escalate into the parallel stages. */
     std::int64_t effectiveBudget() const;
-
-    /** True when the adaptive simplification heuristics steer the
-     *  rewrite/preprocess stages this run. */
-    bool adaptiveActive() const;
 
     /** Read back every theory variable of @p assertions from @p sat. */
     void readModel(const BitBlaster &blaster, const sat::Solver &sat,
@@ -267,28 +252,6 @@ class Solver
     // Incremental backend (lazily created on the first query).
     std::unique_ptr<sat::Solver> incSat_;
     std::unique_ptr<BitBlaster> incBlaster_;
-
-    // Word-level rewriter (lazily created; persists across queries so its
-    // ref -> ref memo amortizes like the blast cache).
-    std::unique_ptr<Rewriter> rewriter_;
-    /** Rewrite hits of the in-flight check(), consumed by solveCore into
-     *  the query-log record (zero when the query short-circuits). */
-    std::uint64_t pendingRewriteHits_ = 0;
-    /** Clause count after the last preprocess() of the incremental
-     *  backend; inprocessing reruns once enough new clauses accumulate. */
-    std::size_t preprocessedClauses_ = 0;
-
-    // Adaptive-simplification state (inert unless adaptiveActive()).
-    /** Windowed rewrite payoff: queries and rule hits since the last
-     *  window close; a low-yield window turns rewriting off (with a
-     *  periodic probe so it can come back). */
-    std::uint64_t adaptiveWindowQueries_ = 0;
-    std::uint64_t adaptiveWindowHits_ = 0;
-    bool adaptiveRewriteOff_ = false;
-    /** Multiplies the inprocessing growth threshold; doubles after an
-     *  unproductive pass (< 1% of the database removed), resets after a
-     *  productive one. */
-    std::size_t preprocessBackoff_ = 1;
 };
 
 } // namespace coppelia::smt

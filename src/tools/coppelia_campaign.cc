@@ -58,10 +58,6 @@ usage(const char *argv0)
         "                     incremental-backend ablation)\n"
         "  --conflict-budget N  per-query SAT conflict cap (default:\n"
         "                     unlimited); Unknowns mark jobs incomplete\n"
-        "  --rewrite          add word-level term rewriting before\n"
-        "                     bit-blasting (ablation; default off)\n"
-        "  --preprocess       add CNF pre/inprocessing (subsumption +\n"
-        "                     bounded variable elimination; default off)\n"
         "  --no-minimize      skip learnt-clause minimization in conflict\n"
         "                     analysis\n"
         "  --solver-threads N racer threads for the solver's parallel\n"
@@ -70,10 +66,6 @@ usage(const char *argv0)
         "  --no-portfolio     skip the portfolio-race escalation stage\n"
         "  --cube-budget N    per-cube conflict budget for cube-and-\n"
         "                     conquer (default 0: auto)\n"
-        "  --adaptive-simplify on|off|auto\n"
-        "                     adaptive rewrite/preprocess payoff\n"
-        "                     heuristics (default auto: only at\n"
-        "                     --solver-threads > 1)\n"
         "  --out DIR          output directory (default: .)\n"
         "  --artifacts DIR    per-job forensics artifacts (solver query\n"
         "                     logs, search-recorder streams; default:\n"
@@ -125,11 +117,10 @@ main(int argc, char **argv)
     long long seed = -1;
     long long conflict_budget = -2; // -1 means "explicitly unlimited"
     bool no_incremental = false;
-    bool rewrite = false, preprocess = false, no_minimize = false;
+    bool no_minimize = false;
     int solver_threads = -1;
     bool no_portfolio = false;
     long long cube_budget = -1; // >= 0 = set on the command line
-    int adaptive_simplify = -1; // index into smt::AdaptiveSimplify
     int fuzz_execs = -1, fuzz_stream = -1, fuzz_handoffs = -1;
     int sim_backend = -1; // index into rtl::SimBackend; -1 = not set
     bool require_backend = false;
@@ -221,10 +212,6 @@ main(int argc, char **argv)
             retries = numeric(i, "--retries", to_int);
         } else if (arg == "--no-incremental") {
             no_incremental = true;
-        } else if (arg == "--rewrite") {
-            rewrite = true;
-        } else if (arg == "--preprocess") {
-            preprocess = true;
         } else if (arg == "--no-minimize") {
             no_minimize = true;
         } else if (arg == "--solver-threads") {
@@ -237,19 +224,6 @@ main(int argc, char **argv)
             cube_budget = numeric(i, "--cube-budget", to_ll);
             if (cube_budget < 0)
                 badArg(argv[0], "--cube-budget wants a count >= 0");
-        } else if (arg == "--adaptive-simplify") {
-            const std::string mode = value(i, "--adaptive-simplify");
-            if (mode == "on")
-                adaptive_simplify =
-                    static_cast<int>(smt::AdaptiveSimplify::On);
-            else if (mode == "off")
-                adaptive_simplify =
-                    static_cast<int>(smt::AdaptiveSimplify::Off);
-            else if (mode == "auto")
-                adaptive_simplify =
-                    static_cast<int>(smt::AdaptiveSimplify::Auto);
-            else
-                badArg(argv[0], "--adaptive-simplify wants on|off|auto");
         } else if (arg == "--sim-backend") {
             const std::string name = value(i, "--sim-backend");
             rtl::SimBackend backend;
@@ -310,10 +284,6 @@ main(int argc, char **argv)
         spec.seed = static_cast<std::uint64_t>(seed);
     if (no_incremental)
         spec.incrementalSolver = false;
-    if (rewrite)
-        spec.solverRewrite = true;
-    if (preprocess)
-        spec.solverPreprocess = true;
     if (no_minimize)
         spec.solverMinimize = false;
     if (conflict_budget >= -1)
@@ -324,9 +294,6 @@ main(int argc, char **argv)
         spec.solverPortfolio = false;
     if (cube_budget >= 0)
         spec.solverCubeBudget = cube_budget;
-    if (adaptive_simplify >= 0)
-        spec.solverAdaptive =
-            static_cast<smt::AdaptiveSimplify>(adaptive_simplify);
     if (fuzz_execs >= 0)
         spec.fuzzExecs = fuzz_execs;
     if (fuzz_stream >= 0)

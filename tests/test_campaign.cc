@@ -17,7 +17,9 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <type_traits>
 
 #include "bmc/bmc.hh"
 #include "bse/engine.hh"
@@ -233,26 +235,80 @@ job        mor1kx b32 bmc-ebmc
     EXPECT_FALSE(campaign::describeJobs(spec).empty());
 }
 
+TEST(CampaignSpec, OnOffDirectivesAcceptOnlyOnAndOff)
+{
+    auto parse = [](const std::string &text) {
+        std::istringstream in(text);
+        return campaign::parseSpec(in);
+    };
+    for (const char *key : {"incremental", "minimize", "portfolio",
+                            "require-backend", "payload", "replay"}) {
+        SCOPED_TRACE(key);
+        parse(std::string(key) + " on\n");
+        parse(std::string(key) + " off\n");
+    }
+    EXPECT_TRUE(parse("replay on\n").validateByReplay);
+    EXPECT_FALSE(parse("replay off\n").validateByReplay);
+    EXPECT_TRUE(parse("incremental on\n").incrementalSolver);
+    EXPECT_FALSE(parse("incremental off\n").incrementalSolver);
+    // Any other word is an error: read as "off", a typo would silently
+    // disable replay validation or the incremental backend.
+    EXPECT_EXIT(parse("replay On\n"), ::testing::ExitedWithCode(1),
+                "expected on or off");
+    EXPECT_EXIT(parse("incremental yes\n"), ::testing::ExitedWithCode(1),
+                "expected on or off");
+}
+
+TEST(CampaignSpec, RemovedSolverDirectivesAreUnknown)
+{
+    for (const char *line : {"rewrite on\n", "preprocess on\n"}) {
+        SCOPED_TRACE(line);
+        std::istringstream in(line);
+        EXPECT_EXIT(campaign::parseSpec(in), ::testing::ExitedWithCode(1),
+                    "unknown directive");
+    }
+}
+
 TEST(CampaignSpec, SolverDefaultsComeFromSolverOptions)
 {
-    // Every layer that carries the nine solver settings takes its
+    // Every layer that carries the six solver settings takes its
     // defaults from smt::SolverOptions, so a default flips in one place.
     const smt::SolverOptions solver;
     auto agrees = [&solver](const auto &opts, const char *layer) {
         SCOPED_TRACE(layer);
         EXPECT_EQ(opts.incrementalSolver, solver.incremental);
         EXPECT_EQ(opts.solverConflictBudget, solver.conflictBudget);
-        EXPECT_EQ(opts.solverRewrite, solver.rewrite);
-        EXPECT_EQ(opts.solverPreprocess, solver.preprocess);
         EXPECT_EQ(opts.solverMinimize, solver.minimize);
         EXPECT_EQ(opts.solverThreads, solver.threads);
         EXPECT_EQ(opts.solverPortfolio, solver.portfolio);
         EXPECT_EQ(opts.solverCubeBudget, solver.cubeBudget);
-        EXPECT_EQ(opts.solverAdaptive, solver.adaptiveSimplify);
     };
     agrees(campaign::CampaignSpec{}, "campaign::CampaignSpec");
     agrees(bse::Options{}, "bse::Options");
     agrees(bmc::BmcOptions{}, "bmc::BmcOptions");
+}
+
+// The placeholders for deleted solver settings carry nothing.
+static_assert(std::is_empty_v<smt::RemovedOption>);
+static_assert(!std::is_assignable_v<smt::RemovedOption &, bool>);
+static_assert(!std::is_assignable_v<smt::RemovedOption &, int>);
+static_assert(!std::is_assignable_v<smt::RemovedOption &, smt::Result>);
+static_assert(
+    !std::is_assignable_v<smt::RemovedOption &, smt::SolverOptions>);
+
+TEST(CampaignSpec, RemovedSolverSettingsCopyAcrossOptionStructs)
+{
+    // perfbench/perfbench.cc makes exactly these copies; the test fails
+    // to compile if a placeholder goes before that file stops naming it.
+    const campaign::CampaignSpec spec;
+    bse::Options engine;
+    engine.solverRewrite = spec.solverRewrite;
+    engine.solverPreprocess = spec.solverPreprocess;
+    engine.solverAdaptive = spec.solverAdaptive;
+    bmc::BmcOptions bmc;
+    bmc.solverRewrite = spec.solverRewrite;
+    bmc.solverPreprocess = spec.solverPreprocess;
+    bmc.solverAdaptive = spec.solverAdaptive;
 }
 
 // --- Real exploit-generation campaigns ---------------------------------

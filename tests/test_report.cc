@@ -66,19 +66,19 @@ syntheticData()
         R"({"q":1,"job":0,"iteration":1,"origin":"a01_add_sub",)"
         R"("assumptions":4,"retry":0,"result":"unsat","incremental":true,)"
         R"("conflicts":10,"decisions":40,"propagations":400,"restarts":0,)"
-        R"("rewrite_hits":5,"preprocess_removed":12,"learnt_lits_saved":7,)"
+        R"("learnt_lits_saved":7,)"
         R"("wall_us":200})"));
     exploit.queries.push_back(obj(
         R"({"q":2,"job":0,"iteration":1,"origin":"a01_add_sub",)"
         R"("assumptions":6,"retry":0,"result":"sat","incremental":true,)"
         R"("conflicts":90,"decisions":300,"propagations":9000,"restarts":2,)"
-        R"("rewrite_hits":3,"preprocess_removed":0,"learnt_lits_saved":44,)"
+        R"("learnt_lits_saved":44,)"
         R"("wall_us":1100})"));
     exploit.queries.push_back(obj(
         R"({"q":3,"job":0,"iteration":2,"origin":"a01_add_sub",)"
         R"("assumptions":2,"retry":0,"result":"sat","incremental":false,)"
         R"("conflicts":4,"decisions":9,"propagations":80,"restarts":0,)"
-        R"("rewrite_hits":0,"preprocess_removed":0,"learnt_lits_saved":0,)"
+        R"("learnt_lits_saved":0,)"
         R"("wall_us":200})"));
     exploit.search.push_back(obj(
         R"({"meta":"search","schema_version":1,"events":4,"dropped":0})"));
@@ -251,7 +251,6 @@ TEST(Report, LoadCampaignDirResolvesArtifactsAndSortsJobs)
         q << R"({"q":9,"job":1,"iteration":0,"origin":"","assumptions":1,)"
           << R"("retry":0,"result":"sat","incremental":true,"conflicts":0,)"
           << R"("decisions":1,"propagations":2,"restarts":0,)"
-          << R"("rewrite_hits":0,"preprocess_removed":0,)"
           << R"("learnt_lits_saved":0,"wall_us":70})" << "\n";
     }
     {

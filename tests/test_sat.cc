@@ -310,7 +310,7 @@ TEST_P(Random3Sat, AgreesWithBruteForce)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Random3Sat, ::testing::Range(0, 40));
 
-// --- preprocessing (subsumption / self-subsumption / BVE) -------------------
+// --- random mixed-length CNF ------------------------------------------------
 
 /** Random CNF with mixed clause lengths (1-4). */
 std::vector<std::vector<Lit>>
@@ -327,51 +327,12 @@ randomCnf(coppelia::Rng &rng, int nvars, int nclauses)
     return clauses;
 }
 
-/**
- * The elimination guarantee: a model of the preprocessed database must
- * extend over the eliminated (Undef) variables to a model of the original
- * clauses. Checked by exhaustive enumeration of the eliminated vars.
- */
-bool
-modelExtendsToOriginal(const Solver &s, int nvars,
-                       const std::vector<std::vector<Lit>> &clauses)
-{
-    std::vector<int> elim;
-    std::uint64_t base = 0;
-    for (int v = 0; v < nvars; ++v) {
-        if (s.isEliminated(v))
-            elim.push_back(v);
-        else if (s.value(v) == LBool::True)
-            base |= 1ull << v;
-    }
-    for (std::uint64_t m = 0; m < (1ull << elim.size()); ++m) {
-        std::uint64_t full = base;
-        for (std::size_t i = 0; i < elim.size(); ++i) {
-            if ((m >> i) & 1)
-                full |= 1ull << elim[i];
-        }
-        bool all = true;
-        for (const auto &c : clauses) {
-            bool any = false;
-            for (Lit l : c) {
-                if ((((full >> l.var()) & 1) != 0) != l.sign()) {
-                    any = true;
-                    break;
-                }
-            }
-            if (!any) {
-                all = false;
-                break;
-            }
-        }
-        if (all)
-            return true;
-    }
-    return false;
-}
-
-/** Exhaustive differential: preprocessed solver vs brute force on small
- *  CNFs, with random frozen subsets, including model extension. */
+/** Exhaustive differential on small mixed-length CNFs (units through
+ *  4-clauses over 4-12 vars): the solver agrees with brute force, and a
+ *  Sat model is total and satisfies every original clause. The suite is
+ *  named for the CNF preprocessing pass it was first written against;
+ *  the solver now keeps the clause database exactly as added, so no
+ *  variable may be left unassigned for a model to extend over. */
 class PreprocessDifferential : public ::testing::TestWithParam<int>
 {
 };
@@ -386,118 +347,27 @@ TEST_P(PreprocessDifferential, AgreesWithBruteForceAndExtends)
     Solver s;
     for (int i = 0; i < nvars; ++i)
         s.newVar();
-    // Random frozen subset (the incremental layer freezes term-boundary
-    // vars; here any subset must be safe).
-    for (int v = 0; v < nvars; ++v) {
-        if (rng.flip())
-            s.setFrozen(v);
-    }
     bool consistent = true;
     for (const auto &c : clauses)
         consistent = s.addClause(c) && consistent;
-    if (consistent)
-        consistent = s.preprocess();
 
     const bool expected = bruteForceSat(nvars, clauses);
     const SatResult got = consistent ? s.solve() : SatResult::Unsat;
     ASSERT_EQ(got == SatResult::Sat, expected) << "seed " << seed;
     if (got == SatResult::Sat) {
-        EXPECT_TRUE(modelExtendsToOriginal(s, nvars, clauses))
-            << "seed " << seed;
-        // Frozen variables must never be eliminated.
         for (int v = 0; v < nvars; ++v)
-            EXPECT_FALSE(s.isFrozen(v) && s.isEliminated(v));
+            EXPECT_NE(s.value(v), LBool::Undef) << "seed " << seed;
+        for (const auto &c : clauses) {
+            bool any = false;
+            for (Lit l : c)
+                any = any || s.value(l) == LBool::True;
+            EXPECT_TRUE(any) << "model violates clause, seed " << seed;
+        }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PreprocessDifferential,
                          ::testing::Range(0, 120));
-
-TEST(SatPreprocess, SubsumptionRemovesRedundantClauses)
-{
-    Solver s;
-    Var a = s.newVar(), b = s.newVar(), c = s.newVar();
-    for (Var v : {a, b, c})
-        s.setFrozen(v);
-    s.addBinary(Lit(a, false), Lit(b, false));
-    s.addTernary(Lit(a, false), Lit(b, false), Lit(c, false)); // subsumed
-    // Self-subsumption: (a|b) and (a|~b|c) strengthen the latter to (a|c).
-    s.addTernary(Lit(a, false), Lit(b, true), Lit(c, false));
-    EXPECT_TRUE(s.preprocess());
-    EXPECT_GT(s.stats().get("preprocess_clauses_removed") +
-                  s.stats().get("preprocess_lits_removed"),
-              0u);
-    EXPECT_EQ(s.solve(), SatResult::Sat);
-    // Semantics preserved: a=F,b=F forces c... (a|b) violated; check a few
-    // assumption probes against the original meaning.
-    EXPECT_EQ(s.solve({Lit(a, true), Lit(b, true)}), SatResult::Unsat);
-    EXPECT_EQ(s.solve({Lit(a, true), Lit(c, true)}), SatResult::Unsat);
-    EXPECT_EQ(s.solve({Lit(a, false)}), SatResult::Sat);
-}
-
-/** Incremental frame replay: preprocess, then keep adding clauses over
- *  frozen variables and solving under assumptions — results must match a
- *  never-preprocessed reference solver on the same sequence. */
-class PreprocessIncremental : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(PreprocessIncremental, FrozenFramesStaySound)
-{
-    const int seed = GetParam();
-    coppelia::Rng rng(7000 + seed);
-    const int nvars = 12;
-    const int nfrozen = 5;
-
-    Solver pre;
-    Solver ref;
-    for (int i = 0; i < nvars; ++i) {
-        pre.newVar();
-        ref.newVar();
-    }
-    for (int v = 0; v < nfrozen; ++v)
-        pre.setFrozen(v);
-
-    bool okPre = true;
-    bool okRef = true;
-    for (const auto &c : randomCnf(rng, nvars, 24)) {
-        okPre = pre.addClause(c) && okPre;
-        okRef = ref.addClause(c) && okRef;
-    }
-    if (okPre)
-        okPre = pre.preprocess();
-    ASSERT_EQ(okPre, okRef) << "seed " << seed;
-
-    for (int round = 0; round < 6 && okPre; ++round) {
-        // A new frame: clauses over frozen (term-boundary) vars only.
-        std::vector<Lit> c;
-        const int len = 1 + static_cast<int>(rng.below(3));
-        for (int j = 0; j < len; ++j)
-            c.push_back(
-                Lit(static_cast<Var>(rng.below(nfrozen)), rng.flip()));
-        okPre = pre.addClause(c) && okPre;
-        okRef = ref.addClause(c) && okRef;
-        ASSERT_EQ(okPre, okRef) << "seed " << seed << " round " << round;
-        if (!okPre)
-            break;
-
-        std::vector<Lit> assumptions;
-        for (int v = 0; v < nfrozen; ++v) {
-            if (rng.below(3) == 0)
-                assumptions.push_back(Lit(v, rng.flip()));
-        }
-        const SatResult rp = pre.solve(assumptions);
-        const SatResult rr = ref.solve(assumptions);
-        EXPECT_EQ(rp, rr) << "seed " << seed << " round " << round;
-        pre.cancelToRoot();
-        ref.cancelToRoot();
-        if (round == 2)
-            okPre = pre.preprocess(); // inprocessing rerun mid-sequence
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PreprocessIncremental,
-                         ::testing::Range(0, 60));
 
 // --- learnt-clause minimization ---------------------------------------------
 

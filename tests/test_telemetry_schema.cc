@@ -237,8 +237,6 @@ TEST(QuerylogSchema, RecordJsonShapeIsPinned)
     r.decisions = 200;
     r.propagations = 300;
     r.restarts = 5;
-    r.rewriteHits = 11;
-    r.preprocessRemoved = 12;
     r.learntLitsSaved = 13;
     r.wallUs = 4567;
     r.result = 1;
@@ -250,9 +248,8 @@ TEST(QuerylogSchema, RecordJsonShapeIsPinned)
         "origin",    "assumptions",  "retry",
         "result",    "incremental",  "conflicts",
         "decisions", "propagations", "restarts",
-        "rewrite_hits", "preprocess_removed", "learnt_lits_saved",
-        "wall_us",   "mode",         "racer",
-        "winner",    "cubes"};
+        "learnt_lits_saved", "wall_us", "mode",
+        "racer",     "winner",       "cubes"};
     std::vector<std::string> emitted;
     for (const auto &[key, value] : v.members())
         emitted.push_back(key);
@@ -265,7 +262,7 @@ TEST(QuerylogSchema, RecordJsonShapeIsPinned)
     EXPECT_EQ(v.find("racer")->asInt(), -1);
     EXPECT_EQ(v.find("winner")->asInt(), -1);
     EXPECT_EQ(v.find("cubes")->asInt(), 0);
-    EXPECT_EQ(smt::querylog::kQuerylogSchemaVersion, 2);
+    EXPECT_EQ(smt::querylog::kQuerylogSchemaVersion, 3);
 }
 
 TEST(QuerylogSchema, JsonlMetaLineCarriesTheAccountingTotals)
