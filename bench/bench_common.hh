@@ -39,7 +39,6 @@ struct BenchOptions
 {
     bool smoke = false;     ///< tiny budgets, reduced bug set
     int repeat = 1;         ///< timing runs per configuration (median-of-N)
-    int solverThreads = 1;  ///< escalation worker threads (--solver-threads)
     std::string jsonPath;   ///< machine-readable results (--json FILE)
     std::string tracePath;  ///< Chrome trace-event timeline (--trace FILE)
 };
@@ -47,16 +46,13 @@ struct BenchOptions
 inline void
 benchUsage(const char *argv0)
 {
-    std::printf("usage: %s [--smoke] [--repeat N] [--solver-threads N] "
+    std::printf("usage: %s [--smoke] [--repeat N] "
                 "[--json FILE] [--trace FILE]\n"
                 "  --smoke             CI fast path: 2-3 bugs, tight "
                 "budgets\n"
                 "  --repeat N          run each timed configuration N times "
                 "and\n"
                 "                      report the median (default 1)\n"
-                "  --solver-threads N  worker threads for the solver's\n"
-                "                      portfolio/cube escalations "
-                "(default 1)\n"
                 "  --json FILE         write machine-readable results as "
                 "JSON\n"
                 "  --trace FILE        record a Chrome trace-event "
@@ -90,15 +86,6 @@ parseBenchArgs(int argc, char **argv)
             opts.repeat = std::atoi(value(i, "--repeat").c_str());
             if (opts.repeat < 1) {
                 std::fprintf(stderr, "%s: --repeat needs N >= 1\n\n",
-                             argv[0]);
-                benchUsage(argv[0]);
-                std::exit(2);
-            }
-        } else if (arg == "--solver-threads") {
-            opts.solverThreads =
-                std::atoi(value(i, "--solver-threads").c_str());
-            if (opts.solverThreads < 1) {
-                std::fprintf(stderr, "%s: --solver-threads needs N >= 1\n\n",
                              argv[0]);
                 benchUsage(argv[0]);
                 std::exit(2);

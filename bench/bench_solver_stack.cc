@@ -26,12 +26,6 @@
  * runs (the engine is deterministic, so repeats only smooth machine
  * noise; the trigger from the first run is used for the checks), and the
  * JSON carries the per-config min/max envelope next to each median.
- *
- * `--solver-threads N` hands stuck queries to the facade's parallel
- * escalation ladder (portfolio race, then cube-and-conquer). The JSON
- * then also reports the b19/b31 hard-row subtotal, the class those
- * escalations exist for; compare against a threads=1 run of the same
- * matrix (see EXPERIMENTS.md).
  */
 
 #include "bench_common.hh"
@@ -59,7 +53,6 @@ const SolverConfig kConfigs[] = {
 };
 constexpr std::size_t kNumConfigs = sizeof(kConfigs) / sizeof(kConfigs[0]);
 constexpr std::size_t kDefault = 0;
-constexpr std::size_t kOff = 1;
 
 struct RunResult
 {
@@ -94,10 +87,6 @@ runConfig(cpu::BugId bug, const SolverConfig &cfg, const BenchOptions &bench)
         opts.timeLimitSeconds = 120.0;
         opts.preconditions = or1kPreconditions(d);
         opts.solverMinimize = cfg.minimize;
-        // At threads > 1 the facade walks its escalation ladder (budget
-        // retries, portfolio race, cube-and-conquer) on stuck queries;
-        // at the default of 1 this is bit-for-bit the sequential bench.
-        opts.solverThreads = bench.solverThreads;
 
         Timer timer;
         bse::BackwardEngine engine(d, opts);
@@ -146,9 +135,8 @@ main(int argc, char **argv)
                 "single-instruction OR1200 bugs)%s\n",
                 bench.smoke ? " [smoke]" : "");
     std::printf("columns = cumulative solver time per configuration "
-                "(median of %d run%s, solver threads %d)\n\n",
-                bench.repeat, bench.repeat == 1 ? "" : "s",
-                bench.solverThreads);
+                "(median of %d run%s)\n\n",
+                bench.repeat, bench.repeat == 1 ? "" : "s");
     const std::vector<int> widths{5, 10, 10, 9};
     printRow({"No.", "default", "off", "same-out"}, widths);
     printRule(widths);
@@ -157,16 +145,8 @@ main(int argc, char **argv)
     double totals_min[kNumConfigs] = {};
     double totals_max[kNumConfigs] = {};
     double wall_totals[kNumConfigs] = {};
-    // The long-search rows (the b19/b31 class the parallel escalations
-    // target) get their own subtotal so a --solver-threads run can report
-    // its effect where it matters, not diluted by the sub-second bugs.
-    double hard_totals[kNumConfigs] = {};
-    int hard_bugs = 0;
     bool same_outcomes = true;
     for (cpu::BugId bug : rows) {
-        const bool hard =
-            bug == cpu::BugId::b19 || bug == cpu::BugId::b31;
-        hard_bugs += hard ? 1 : 0;
         RunResult results[kNumConfigs];
         for (std::size_t c = 0; c < kNumConfigs; ++c) {
             results[c] = runConfig(bug, kConfigs[c], bench);
@@ -174,8 +154,6 @@ main(int argc, char **argv)
             totals_min[c] += results[c].solverSpread.min;
             totals_max[c] += results[c].solverSpread.max;
             wall_totals[c] += results[c].seconds;
-            if (hard)
-                hard_totals[c] += results[c].solverSeconds;
         }
         bool agree = true;
         for (std::size_t c = 1; c < kNumConfigs; ++c)
@@ -202,10 +180,6 @@ main(int argc, char **argv)
     std::printf("default solver total %.3fs (repeat spread %.3f..%.3fs)\n",
                 totals[kDefault], totals_min[kDefault],
                 totals_max[kDefault]);
-    if (hard_bugs > 0)
-        std::printf("hard rows (b19/b31) default solver total %.3fs, "
-                    "minimization off %.3fs\n",
-                    hard_totals[kDefault], hard_totals[kOff]);
 
     if (!bench.jsonPath.empty()) {
         // The shape scripts/check_bench_regression.py gates on.
@@ -216,9 +190,6 @@ main(int argc, char **argv)
               json::Value::number(static_cast<double>(bench.repeat)));
         v.set("bugs",
               json::Value::number(static_cast<double>(rows.size())));
-        v.set("solver_threads",
-              json::Value::number(
-                  static_cast<double>(bench.solverThreads)));
         for (std::size_t c = 0; c < kNumConfigs; ++c) {
             v.set(std::string("total_solver_") + kConfigs[c].name +
                       "_seconds",
@@ -233,16 +204,6 @@ main(int argc, char **argv)
                   json::Value::number(totals_max[c]));
             v.set(std::string("total_") + kConfigs[c].name + "_seconds",
                   json::Value::number(wall_totals[c]));
-        }
-        v.set("hard_bugs",
-              json::Value::number(static_cast<double>(hard_bugs)));
-        if (hard_bugs > 0) {
-            // b19/b31 subtotal: the class the EXPERIMENTS.md parallel
-            // recipe compares across --solver-threads settings.
-            v.set("hard_solver_default_seconds",
-                  json::Value::number(hard_totals[kDefault]));
-            v.set("hard_solver_off_seconds",
-                  json::Value::number(hard_totals[kOff]));
         }
         v.set("same_outcomes", json::Value::boolean(same_outcomes));
         std::ofstream out = openOutputOrDie(argv[0], bench.jsonPath);

@@ -8,8 +8,8 @@ CI generates the report over the bench-smoke campaign and runs this
 over it. Checks, each failing with a named reason:
 
   - the document parses as HTML with balanced non-void tags,
-  - the seven report sections are present by anchor id (jobs, queries,
-    phases, rejections, coverage, portfolio, consistency),
+  - the six report sections are present by anchor id (jobs, queries,
+    phases, rejections, coverage, consistency),
   - the jobs table has at least one data row,
   - the solver-time cross-check totals row carries a non-empty,
     non-zero query-log total (a zero total on a campaign that ran the
@@ -32,7 +32,6 @@ REQUIRED_SECTIONS = (
     "phases",
     "rejections",
     "coverage",
-    "portfolio",
     "consistency",
 )
 

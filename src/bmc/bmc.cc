@@ -64,9 +64,6 @@ checkAssertion(const rtl::Design &design,
     solver_opts.incremental = opts.incrementalSolver;
     solver_opts.conflictBudget = opts.solverConflictBudget;
     solver_opts.minimize = opts.solverMinimize;
-    solver_opts.threads = opts.solverThreads;
-    solver_opts.portfolio = opts.solverPortfolio;
-    solver_opts.cubeBudget = opts.solverCubeBudget;
     smt::Solver solver(tm, solver_opts);
 
     // Initial state: reset constants (EbmcLike) or free variables
@@ -143,12 +140,11 @@ checkAssertion(const rtl::Design &design,
         smt::Model model;
         smt::Result qr = solver.check(query, &model);
         if (qr == smt::Result::Unknown) {
-            // Budget died: escalate (budget ladder, then the parallel
-            // stages at solverThreads > 1). A still-Unknown depth is
+            // Budget died: retry once at 4x. A still-Unknown depth is
             // recorded as incomplete — "no violation up to bound k"
             // would otherwise silently include unexplored depths.
             res.stats.inc("solver_unknowns");
-            if (opts.solverConflictBudget > 0 || opts.solverThreads > 1)
+            if (opts.solverConflictBudget > 0)
                 qr = solver.escalate(query, &model);
             if (qr == smt::Result::Unknown) {
                 res.stats.inc("solver_unknowns_final");
@@ -191,19 +187,6 @@ checkAssertion(const rtl::Design &design,
     res.stats.inc("solver_learnt_lits_saved",
                   solver.stats().get("learnt_lits_saved"));
     res.stats.inc("solver_escalations", solver.stats().get("escalations"));
-    res.stats.inc("solver_escalation_rungs",
-                  solver.stats().get("escalation_rungs"));
-    res.stats.inc("solver_portfolio_races",
-                  solver.stats().get("portfolio_races"));
-    res.stats.inc("solver_portfolio_wins",
-                  solver.stats().get("portfolio_wins"));
-    res.stats.inc("solver_portfolio_clauses_exported",
-                  solver.stats().get("portfolio_clauses_exported"));
-    res.stats.inc("solver_portfolio_clauses_imported",
-                  solver.stats().get("portfolio_clauses_imported"));
-    res.stats.inc("solver_cube_escalations",
-                  solver.stats().get("cube_escalations"));
-    res.stats.inc("solver_cube_splits", solver.stats().get("cube_splits"));
     res.seconds = timer.seconds();
     return res;
 }

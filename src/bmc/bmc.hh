@@ -56,24 +56,18 @@ struct BmcOptions
     double timeLimitSeconds = 0.0;
     /** Persistent incremental SAT backend across per-depth queries (the
      *  depth-k query shares the whole depth-(k-1) unrolling prefix). This
-     *  and the five solver fields after it take their defaults from
+     *  and the two solver fields after it take their defaults from
      *  smt::SolverOptions. */
     bool incrementalSolver = smt::SolverOptions{}.incremental;
-    /** Per-query SAT conflict budget (-1 = unlimited); Unknowns walk the
-     *  solver's escalation ladder (the historical single 4x retry at the
-     *  defaults), then mark the result incomplete. */
+    /** Per-query SAT conflict budget (-1 = unlimited); an Unknown is
+     *  retried once at 4x the budget, then marks the result
+     *  incomplete. */
     std::int64_t solverConflictBudget = smt::SolverOptions{}.conflictBudget;
     /** Learnt-clause minimization (see smt::SolverOptions). */
     bool solverMinimize = smt::SolverOptions{}.minimize;
-    /** Racer threads for the solver's parallel escalation stages
-     *  (1 = sequential, bit-for-bit the baseline). */
-    int solverThreads = smt::SolverOptions{}.threads;
-    /** Portfolio-race stage of the escalation chain. */
-    bool solverPortfolio = smt::SolverOptions{}.portfolio;
-    /** Per-cube conflict budget for cube-and-conquer (0 = auto). */
-    std::int64_t solverCubeBudget = smt::SolverOptions{}.cubeBudget;
     /** Deleted settings; see smt::RemovedOption. */
     smt::RemovedOption solverRewrite, solverPreprocess, solverAdaptive;
+    smt::RemovedOption solverThreads, solverPortfolio, solverCubeBudget;
     /** Simulation substrate for the from-reset counterexample replay. */
     rtl::SimBackend simBackend = rtl::SimBackend::Interpret;
     /** Constrain instruction inputs to legal opcodes (§II-E1 parity with

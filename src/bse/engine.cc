@@ -133,19 +133,14 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     solver_opts.incremental = use_incremental;
     solver_opts.conflictBudget = opts_.solverConflictBudget;
     solver_opts.minimize = use_minimization && opts_.solverMinimize;
-    solver_opts.threads = opts_.solverThreads;
-    solver_opts.portfolio = opts_.solverPortfolio;
-    solver_opts.cubeBudget = opts_.solverCubeBudget;
     smt::Solver solver(tm, solver_opts);
     sym::CycleExplorer explorer(design_, tm, solver, opts_.explorer);
 
-    // Three-valued check with escalation: Unknown means the conflict
-    // budget died, NOT that the query is unsat. escalate() walks the
-    // geometric budget ladder (the historical single 4x retry at the
-    // defaults, rung-tagged in the query log) and, at solverThreads > 1,
-    // the portfolio/cube parallel stages; a still-Unknown query taints
-    // the whole search as incomplete (a non-Found outcome can then no
-    // longer claim no violation exists).
+    // Three-valued check with one retry: Unknown means the conflict
+    // budget died, NOT that the query is unsat. escalate() retries once
+    // at 4x the budget (retry=1 in the query log); a still-Unknown query
+    // taints the whole search as incomplete (a non-Found outcome can
+    // then no longer claim no violation exists).
     bool solver_incomplete = false;
     auto checkSolver = [&](const std::vector<TermRef> &query,
                            Model *model) -> smt::Result {
@@ -153,7 +148,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         if (r != smt::Result::Unknown)
             return r;
         result.stats.inc("solver_unknowns");
-        if (opts_.solverConflictBudget > 0 || opts_.solverThreads > 1) {
+        if (opts_.solverConflictBudget > 0) {
             r = solver.escalate(query, model);
             if (r != smt::Result::Unknown) {
                 result.stats.inc("solver_unknown_retries_recovered");
@@ -788,8 +783,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     result.stats.merge(explorer.stats());
     result.stats.inc("solver_queries", solver.stats().get("queries"));
     result.stats.inc("solver_sat_calls", solver.stats().get("sat_calls"));
-    result.stats.inc("solver_cache_hits",
-                     solver.stats().get("cache_hits"));
     result.stats.inc("solver_model_reuse_hits",
                      solver.stats().get("model_reuse_hits"));
     result.stats.inc("solver_trivially_unsat",
@@ -802,8 +795,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
                      solver.stats().get("blast_terms_lowered"));
     result.stats.inc("solver_learnts_retained",
                      solver.stats().get("learnts_retained"));
-    result.stats.inc("solver_cache_evictions",
-                     solver.stats().get("cache_evictions"));
     result.stats.inc("solver_solve_us", solver.stats().get("solve_us"));
     result.stats.inc("solver_sat_conflicts",
                      solver.stats().get("sat_conflicts"));
@@ -816,31 +807,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     result.stats.inc("solver_learnt_lits_saved",
                      solver.stats().get("learnt_lits_saved"));
     result.stats.inc("solver_escalations", solver.stats().get("escalations"));
-    result.stats.inc("solver_escalation_rungs",
-                     solver.stats().get("escalation_rungs"));
-    result.stats.inc("solver_portfolio_races",
-                     solver.stats().get("portfolio_races"));
-    result.stats.inc("solver_portfolio_wins",
-                     solver.stats().get("portfolio_wins"));
-    result.stats.inc("solver_portfolio_clauses_exported",
-                     solver.stats().get("portfolio_clauses_exported"));
-    result.stats.inc("solver_portfolio_clauses_imported",
-                     solver.stats().get("portfolio_clauses_imported"));
-    result.stats.inc("solver_cube_escalations",
-                     solver.stats().get("cube_escalations"));
-    result.stats.inc("solver_cube_splits", solver.stats().get("cube_splits"));
-    result.stats.inc("solver_cube_sat_cubes",
-                     solver.stats().get("cube_sat_cubes"));
-    result.stats.inc("solver_cube_unsat_cubes",
-                     solver.stats().get("cube_unsat_cubes"));
-    result.stats.inc("solver_cube_unknown_cubes",
-                     solver.stats().get("cube_unknown_cubes"));
-    // Per-config win attribution carries dynamic names ("portfolio_win_"
-    // + racer config); forward whatever configs actually won.
-    for (const auto &[name, count] : solver.stats().all()) {
-        if (name.rfind("portfolio_win_", 0) == 0)
-            result.stats.inc("solver_" + name, count);
-    }
     result.seconds = timer.seconds();
     return result;
 }

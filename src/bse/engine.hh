@@ -90,7 +90,7 @@ struct Options
     int maxFeedbackRounds = 128;
     /** Persistent incremental SAT backend for the search's queries (the
      *  `--no-incremental` ablation flips this off for a fresh SAT
-     *  instance per query). This and the five solver fields after it
+     *  instance per query). This and the two solver fields after it
      *  take their defaults from smt::SolverOptions. */
     bool incrementalSolver = smt::SolverOptions{}.incremental;
     /** Per-query SAT conflict budget (-1 = unlimited). A query that
@@ -110,16 +110,9 @@ struct Options
     /** Learnt-clause minimization in conflict analysis (the
      *  `--no-minimize` ablation flips this off). */
     bool solverMinimize = smt::SolverOptions{}.minimize;
-    /** Racer threads for the solver's parallel escalation stages
-     *  (`--solver-threads`; 1 = sequential, bit-for-bit the baseline). */
-    int solverThreads = smt::SolverOptions{}.threads;
-    /** Portfolio-race stage of the escalation chain (`--no-portfolio`). */
-    bool solverPortfolio = smt::SolverOptions{}.portfolio;
-    /** Per-cube conflict budget for cube-and-conquer (`--cube-budget`;
-     *  0 = auto). */
-    std::int64_t solverCubeBudget = smt::SolverOptions{}.cubeBudget;
     /** Deleted settings; see smt::RemovedOption. */
     smt::RemovedOption solverRewrite, solverPreprocess, solverAdaptive;
+    smt::RemovedOption solverThreads, solverPortfolio, solverCubeBudget;
     /**
      * Iteration patience for the incremental attempt when the fallback is
      * armed: past this many iterations the search concedes to the fresh

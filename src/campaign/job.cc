@@ -143,9 +143,6 @@ runExploitJob(const CampaignSpec &spec, const JobSpec &job,
     opts.engine.incrementalSolver = spec.incrementalSolver;
     opts.engine.solverConflictBudget = spec.solverConflictBudget;
     opts.engine.solverMinimize = spec.solverMinimize;
-    opts.engine.solverThreads = spec.solverThreads;
-    opts.engine.solverPortfolio = spec.solverPortfolio;
-    opts.engine.solverCubeBudget = spec.solverCubeBudget;
 
     core::Coppelia tool(design, job.processor, opts);
     core::ExploitResult res = tool.generateExploit(assertion);
@@ -182,9 +179,6 @@ runBmcJob(const CampaignSpec &spec, const JobSpec &job,
     opts.incrementalSolver = spec.incrementalSolver;
     opts.solverConflictBudget = spec.solverConflictBudget;
     opts.solverMinimize = spec.solverMinimize;
-    opts.solverThreads = spec.solverThreads;
-    opts.solverPortfolio = spec.solverPortfolio;
-    opts.solverCubeBudget = spec.solverCubeBudget;
     if (job.processor == cpu::Processor::PulpinoRi5cy) {
         opts.insnConstraint = [](smt::TermManager &tm, smt::TermRef v) {
             return cpu::riscv::rvLegalInsnConstraint(tm, v);
@@ -273,9 +267,6 @@ runFuzzJob(const CampaignSpec &spec, const JobSpec &job,
         base.incrementalSolver = spec.incrementalSolver;
         base.solverConflictBudget = spec.solverConflictBudget;
         base.solverMinimize = spec.solverMinimize;
-        base.solverThreads = spec.solverThreads;
-        base.solverPortfolio = spec.solverPortfolio;
-        base.solverCubeBudget = spec.solverCubeBudget;
 
         int attempts = 0;
         for (const auto &[prox, prefix] : ranked) {

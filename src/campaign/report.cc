@@ -410,104 +410,6 @@ sectionCoverage(std::string &h, const ReportData &d)
 }
 
 void
-sectionPortfolio(std::string &h, const ReportData &d)
-{
-    h += "<h2 id=\"portfolio\">Parallel solving</h2>\n";
-
-    // Aggregate the escalation counters across every job record, and
-    // fold the per-config win counters (solver_portfolio_win_<name>)
-    // into a histogram.
-    double escalations = 0, rungs = 0, races = 0, wins = 0;
-    double exported = 0, imported = 0;
-    double cube_escalations = 0, cube_splits = 0;
-    double sat_cubes = 0, unsat_cubes = 0, unknown_cubes = 0;
-    std::map<std::string, double> win_hist;
-    for (const JobForensics &j : d.jobs) {
-        escalations += statOf(j.record, "solver_escalations");
-        rungs += statOf(j.record, "solver_escalation_rungs");
-        races += statOf(j.record, "solver_portfolio_races");
-        wins += statOf(j.record, "solver_portfolio_wins");
-        exported += statOf(j.record, "solver_portfolio_clauses_exported");
-        imported += statOf(j.record, "solver_portfolio_clauses_imported");
-        cube_escalations += statOf(j.record, "solver_cube_escalations");
-        cube_splits += statOf(j.record, "solver_cube_splits");
-        sat_cubes += statOf(j.record, "solver_cube_sat_cubes");
-        unsat_cubes += statOf(j.record, "solver_cube_unsat_cubes");
-        unknown_cubes += statOf(j.record, "solver_cube_unknown_cubes");
-        const json::Value *stats = j.record.find("stats");
-        if (stats && stats->isObject()) {
-            for (const auto &[key, value] : stats->members()) {
-                if (key.rfind("solver_portfolio_win_", 0) == 0 &&
-                    value.isNumber())
-                    win_hist[key.substr(21)] += value.asNumber();
-            }
-        }
-    }
-
-    if (escalations == 0 && races == 0 && cube_escalations == 0) {
-        h += "<p>No parallel escalations recorded (sequential run, or "
-             "every query closed within its base conflict budget).</p>\n";
-        return;
-    }
-
-    h += "<p class=\"note\">Queries that blew their conflict budget "
-         "walked the escalation chain: geometric budget ladder, then a "
-         "portfolio race of diversified solver configurations with "
-         "learnt-clause sharing, then cube-and-conquer.</p>\n";
-    h += "<table>\n<tr><th>stage</th><th>count</th></tr>\n";
-    h += "<tr>" + td("escalated queries") + tdr(fmtCount(escalations)) +
-         "</tr>\n";
-    h += "<tr>" + td("budget-ladder rungs climbed") + tdr(fmtCount(rungs)) +
-         "</tr>\n";
-    h += "<tr>" + td("portfolio races") + tdr(fmtCount(races)) + "</tr>\n";
-    h += "<tr>" + td("portfolio wins (definitive)") + tdr(fmtCount(wins)) +
-         "</tr>\n";
-    h += "<tr>" + td("learnt clauses exported") + tdr(fmtCount(exported)) +
-         "</tr>\n";
-    h += "<tr>" + td("learnt clauses imported") + tdr(fmtCount(imported)) +
-         "</tr>\n";
-    h += "<tr>" + td("cube-and-conquer escalations") +
-         tdr(fmtCount(cube_escalations)) + "</tr>\n";
-    h += "<tr>" + td("cubes solved") + tdr(fmtCount(cube_splits)) +
-         "</tr>\n";
-    h += "</table>\n";
-
-    if (!win_hist.empty()) {
-        h += "<h3>portfolio wins by configuration</h3>\n";
-        histogramTable(h, win_hist);
-    }
-
-    if (cube_escalations > 0) {
-        h += "<h3>cube tree</h3>\n";
-        std::map<std::string, double> cube_hist;
-        cube_hist["sat cubes"] = sat_cubes;
-        cube_hist["unsat cubes"] = unsat_cubes;
-        cube_hist["unknown cubes"] = unknown_cubes;
-        histogramTable(h, cube_hist);
-    }
-
-    // Per-racer query-log records (mode=portfolio) carry the per-racer
-    // search effort; summarize the attribution when artifacts exist.
-    double racer_records = 0, racer_wins = 0;
-    for (const JobForensics &j : d.jobs) {
-        for (const json::Value &line : j.queries) {
-            if (!line.find("q") || str(line, "mode") != "portfolio")
-                continue;
-            const double racer = num(line, "racer", -1);
-            if (racer < 0)
-                continue;
-            racer_records += 1;
-            if (racer == num(line, "winner", -2))
-                racer_wins += 1;
-        }
-    }
-    if (racer_records > 0)
-        h += "<p class=\"note\">" + fmtCount(racer_records) +
-             " per-racer query-log records, " + fmtCount(racer_wins) +
-             " attributed to the winning racer.</p>\n";
-}
-
-void
 sectionConsistency(std::string &h, const ReportData &d)
 {
     h += "<h2 id=\"consistency\">Solver-time cross-check</h2>\n";
@@ -586,7 +488,6 @@ renderHtml(const ReportData &data)
          "<a href=\"#phases\">phases</a> &middot; "
          "<a href=\"#rejections\">rejections</a> &middot; "
          "<a href=\"#coverage\">fuzz coverage</a> &middot; "
-         "<a href=\"#portfolio\">parallel solving</a> &middot; "
          "<a href=\"#consistency\">cross-check</a></p>\n";
     sectionOverview(h, data);
     sectionJobs(h, data);
@@ -594,7 +495,6 @@ renderHtml(const ReportData &data)
     sectionPhases(h, data);
     sectionRejections(h, data);
     sectionCoverage(h, data);
-    sectionPortfolio(h, data);
     sectionConsistency(h, data);
     h += "</body>\n</html>\n";
     return h;

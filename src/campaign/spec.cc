@@ -114,29 +114,34 @@ parseSpec(std::istream &in, const std::string &origin)
                 bad("expected on or off");
             return w == "on";
         };
-        auto intWord = [&](const char *what) {
+        // A number must be the whole word: std::stoi alone would read
+        // "2e4" as 2 and "4x" as 4.
+        auto number = [&](const char *what, auto parse) {
+            const std::string w = word(what);
+            std::size_t used = 0;
             try {
-                return std::stoi(word(what));
+                const auto v = parse(w, &used);
+                if (used == w.size())
+                    return v;
             } catch (...) {
-                bad(std::string("malformed ") + what);
             }
-            return 0;
+            bad(std::string("malformed ") + what);
+            return decltype(parse(w, &used)){};
         };
-        auto u64Word = [&](const char *what) -> std::uint64_t {
-            try {
-                return std::stoull(word(what));
-            } catch (...) {
-                bad(std::string("malformed ") + what);
-            }
-            return 0;
+        auto intWord = [&](const char *what) {
+            return number(what, [](const std::string &w, std::size_t *n) {
+                return std::stoi(w, n);
+            });
+        };
+        auto u64Word = [&](const char *what) {
+            return number(what, [](const std::string &w, std::size_t *n) {
+                return std::stoull(w, n);
+            });
         };
         auto doubleWord = [&](const char *what) {
-            try {
-                return std::stod(word(what));
-            } catch (...) {
-                bad(std::string("malformed ") + what);
-            }
-            return 0.0;
+            return number(what, [](const std::string &w, std::size_t *n) {
+                return std::stod(w, n);
+            });
         };
 
         if (key == "name") {
@@ -159,16 +164,10 @@ parseSpec(std::istream &in, const std::string &origin)
             spec.incrementalSolver = onOff();
         } else if (key == "conflict-budget") {
             spec.solverConflictBudget = intWord("count");
+            if (spec.solverConflictBudget < -1)
+                bad("budget must be >= -1");
         } else if (key == "minimize") {
             spec.solverMinimize = onOff();
-        } else if (key == "solver-threads") {
-            spec.solverThreads = intWord("count");
-            if (spec.solverThreads < 1)
-                bad("thread count must be >= 1");
-        } else if (key == "portfolio") {
-            spec.solverPortfolio = onOff();
-        } else if (key == "cube-budget") {
-            spec.solverCubeBudget = intWord("count");
         } else if (key == "fuzz-execs") {
             spec.fuzzExecs = intWord("count");
         } else if (key == "fuzz-stream") {

@@ -97,26 +97,18 @@ struct CampaignSpec
     int maxRetries = 1;
     /** Incremental SAT backend for every job's solver; `incremental off`
      *  (or the CLI's `--no-incremental`) is the fresh-instance ablation.
-     *  This and the five solver fields after it take their defaults
+     *  This and the two solver fields after it take their defaults
      *  from smt::SolverOptions. */
     bool incrementalSolver = smt::SolverOptions{}.incremental;
-    /** Per-query SAT conflict budget (-1 = unlimited). */
+    /** Per-query SAT conflict budget (-1 = unlimited; `conflict-budget
+     *  N` / `--conflict-budget`, N >= -1). */
     std::int64_t solverConflictBudget = smt::SolverOptions{}.conflictBudget;
     /** Learnt-clause minimization (`minimize on|off` /
      *  `--no-minimize`). */
     bool solverMinimize = smt::SolverOptions{}.minimize;
-    /** Racer threads for the solver's parallel escalation stages
-     *  (`solver-threads N` / `--solver-threads`; 1 = sequential,
-     *  bit-for-bit the baseline). */
-    int solverThreads = smt::SolverOptions{}.threads;
-    /** Portfolio-race stage of the escalation chain
-     *  (`portfolio on|off` / `--no-portfolio`). */
-    bool solverPortfolio = smt::SolverOptions{}.portfolio;
-    /** Per-cube conflict budget for cube-and-conquer
-     *  (`cube-budget N` / `--cube-budget`; 0 = auto). */
-    std::int64_t solverCubeBudget = smt::SolverOptions{}.cubeBudget;
     /** Deleted settings; see smt::RemovedOption. */
     smt::RemovedOption solverRewrite, solverPreprocess, solverAdaptive;
+    smt::RemovedOption solverThreads, solverPortfolio, solverCubeBudget;
     /** Fuzz-kind knobs (`fuzz-execs`, `fuzz-stream`, `fuzz-handoffs`):
      *  stream executions per job, max stream length, and how many
      *  highest-proximity corpus states get a concolic BSEE hand-off. */

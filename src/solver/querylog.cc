@@ -21,17 +21,6 @@ resultName(int result)
     return "?";
 }
 
-const char *
-modeName(int mode)
-{
-    switch (mode) {
-      case 0: return "seq";
-      case 1: return "portfolio";
-      case 2: return "cube";
-    }
-    return "?";
-}
-
 json::Value
 recordToJson(const Record &r)
 {
@@ -52,11 +41,6 @@ recordToJson(const Record &r)
     v.set("restarts", json::Value::number(r.restarts));
     v.set("learnt_lits_saved", json::Value::number(r.learntLitsSaved));
     v.set("wall_us", json::Value::number(r.wallUs));
-    v.set("mode", json::Value::string(modeName(r.mode)));
-    v.set("racer", json::Value::number(static_cast<int>(r.racer)));
-    v.set("winner", json::Value::number(static_cast<int>(r.winner)));
-    v.set("cubes",
-          json::Value::number(static_cast<std::uint64_t>(r.cubes)));
     return v;
 }
 
@@ -141,10 +125,12 @@ struct Global
     std::mutex mu;
     std::vector<std::unique_ptr<Buffer>> buffers;
     Record slowest[kGlobalTopK];
-    std::size_t slowestCount = 0;
-    /** Fast-path admission threshold: a query slower than this takes the
-     *  mutex and competes for a global slot; everything else pays one
-     *  relaxed load. */
+    /** Written under mu; atomic because offerGlobal's fast path reads it
+     *  without the mutex. */
+    std::atomic<std::size_t> slowestCount{0};
+    /** Fast-path admission threshold: once the top-K is full, a query
+     *  slower than this takes the mutex and competes for a global slot;
+     *  everything else skips the mutex. */
     std::atomic<std::uint64_t> slowestMinWall{0};
     std::atomic<std::uint64_t> nextId{1};
 };

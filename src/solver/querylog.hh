@@ -21,8 +21,9 @@
  *  - ring overflow never loses the interesting tail: a per-thread top-K
  *    by wall time is maintained beside the ring, so the slowest queries
  *    of a very chatty search survive any number of overwrites;
- *  - a process-wide top-K (mutex-guarded, atomic-threshold fast path)
- *    feeds the monitor's live `slowest_queries` view;
+ *  - a process-wide top-K (mutex-guarded; the fast path that skips the
+ *    mutex reads only atomics) feeds the monitor's live
+ *    `slowest_queries` view;
  *  - the whole subsystem compiles out: configure with
  *    `-DCOPPELIA_QUERY_LOG=OFF` (defines COPPELIA_NO_QUERY_LOG) and
  *    record() is an empty inline, drains return nothing, and the solver
@@ -51,8 +52,9 @@ inline constexpr bool kEnabled = true;
  *  emitted in the meta line that heads every flush. v2 added the
  *  parallel-dispatch fields (mode, racer, winner, cubes); v3 dropped
  *  rewrite_hits and preprocess_removed with the solver stages that
- *  filled them. */
-constexpr int kQuerylogSchemaVersion = 3;
+ *  filled them; v4 dropped the parallel-dispatch fields with the
+ *  parallel escalation layer. */
+constexpr int kQuerylogSchemaVersion = 4;
 
 /** One SAT dispatch. POD: recording is a slot copy, no allocation. */
 struct Record
@@ -62,7 +64,7 @@ struct Record
     int iteration = -1;     ///< BSEE iteration (-1 outside a search)
     const char *origin = ""; ///< interned origin label (assertion id)
     std::uint32_t assumptions = 0; ///< assumption-frame depth
-    std::uint32_t retry = 0;       ///< 0 first attempt, 1+ budget retries
+    std::uint32_t retry = 0;       ///< 0 first attempt, 1 budget retry
     std::uint64_t conflicts = 0;   ///< SAT conflicts this query
     std::uint64_t decisions = 0;
     std::uint64_t propagations = 0;
@@ -71,18 +73,7 @@ struct Record
     std::uint64_t wallUs = 0;
     int result = 0; ///< static_cast<int>(smt::Result): 0 Sat 1 Unsat 2 Unknown
     bool incremental = false; ///< answered by the persistent backend
-    /** Dispatch mode: 0 sequential, 1 portfolio race, 2 cube-and-conquer. */
-    std::uint8_t mode = 0;
-    /** Racer index for per-racer records of a portfolio dispatch; -1 on
-     *  the dispatch-level record itself. */
-    std::int16_t racer = -1;
-    /** Winning racer of the parallel dispatch (-1 = none definitive). */
-    std::int16_t winner = -1;
-    /** Cube fan-out of a cube-and-conquer dispatch (0 otherwise). */
-    std::uint16_t cubes = 0;
 };
-
-const char *modeName(int mode);
 
 /**
  * Thread-local origin context, stamped onto every record the calling
@@ -163,7 +154,7 @@ json::Value recordToJson(const Record &r);
 
 /**
  * Write a drained buffer as JSONL: one meta line
- * (`{"meta":"querylog","schema_version":3,"recorded":N,"dropped":N,
+ * (`{"meta":"querylog","schema_version":4,"recorded":N,"dropped":N,
  * "total_wall_us":N}`) followed by one line per record. The meta line's
  * total_wall_us sums over every recorded query including dropped ones,
  * so it agrees exactly with the solver's solve_us accounting even when

@@ -15,7 +15,7 @@ Solver::newVar()
 {
     Var v = numVars();
     assign_.push_back(LBool::Undef);
-    savedPhase_.push_back(defaultPhase_);
+    savedPhase_.push_back(LBool::False);
     varInfo_.push_back(VarInfo{});
     activity_.push_back(0.0);
     seen_.push_back(0);
@@ -90,7 +90,7 @@ Solver::resetDecisionState()
 {
     varInc_ = 1.0;
     std::fill(activity_.begin(), activity_.end(), 0.0);
-    std::fill(savedPhase_.begin(), savedPhase_.end(), defaultPhase_);
+    std::fill(savedPhase_.begin(), savedPhase_.end(), LBool::False);
     heap_.clear();
     std::fill(heapPos_.begin(), heapPos_.end(), -1);
     // Rebuild in index order: with all activities equal, the heap then
@@ -536,54 +536,6 @@ Solver::reduceDB()
     learnts_ = std::move(kept);
 }
 
-void
-Solver::cloneInto(Solver &dst) const
-{
-    if (decisionLevel() != 0)
-        panic("cloneInto above decision level 0");
-    if (dst.numVars() != 0 || dst.numClauses() != 0)
-        panic("cloneInto target is not fresh");
-    for (Var v = 0; v < numVars(); ++v)
-        dst.newVar();
-    if (!ok_) {
-        dst.ok_ = false;
-        return;
-    }
-    // Root units first: addClause then simplifies every copied clause
-    // against them, so the clone starts root-reduced but equisatisfiable
-    // with identical variable numbering.
-    for (Lit u : trail_) {
-        if (!dst.addUnit(u))
-            return;
-    }
-    for (const Clause &c : clauses_) {
-        if (c.lits.empty())
-            continue; // dead (reduced away)
-        if (!dst.addClause(c.lits))
-            return;
-    }
-}
-
-bool
-Solver::drainImports()
-{
-    if (!hasImports_.load(std::memory_order_acquire))
-        return ok_;
-    std::vector<std::vector<Lit>> pending;
-    {
-        std::lock_guard<std::mutex> g(importMu_);
-        pending.swap(importQueue_);
-        hasImports_.store(false, std::memory_order_release);
-    }
-    for (auto &lits : pending) {
-        ++importedClauses_;
-        stats_.inc("clauses_imported");
-        if (!addClause(std::move(lits)))
-            return false;
-    }
-    return true;
-}
-
 std::int64_t
 Solver::luby(std::int64_t i)
 {
@@ -612,14 +564,10 @@ Solver::solve(const std::vector<Lit> &assumptions,
     std::int64_t restart_num = 0;
 
     while (true) {
-        const std::int64_t restart_limit = restartBase_ * luby(restart_num++);
+        const std::int64_t restart_limit = kRestartBase * luby(restart_num++);
         std::int64_t conflicts_here = 0;
 
         cancelUntil(0);
-        // Restart boundary: the solver is at level 0, the one place
-        // addClause is legal — drain clauses shared by portfolio peers.
-        if (!drainImports())
-            return SatResult::Unsat;
 
         while (true) {
             ClauseRef confl = propagate();
@@ -627,10 +575,6 @@ Solver::solve(const std::vector<Lit> &assumptions,
                 ++conflicts_here;
                 ++conflicts_total;
                 stats_.inc("conflicts");
-                if (stop_ && stop_->load(std::memory_order_relaxed)) {
-                    cancelUntil(0);
-                    return SatResult::Unknown;
-                }
                 if (decisionLevel() == 0) {
                     ok_ = false;
                     return SatResult::Unsat;
@@ -638,10 +582,6 @@ Solver::solve(const std::vector<Lit> &assumptions,
                 std::vector<Lit> learnt;
                 int btlevel = 0;
                 analyze(confl, learnt, btlevel);
-                if (learntSink_ && learnt.size() <= learntSinkMaxLits_) {
-                    stats_.inc("clauses_exported");
-                    learntSink_(learnt);
-                }
                 // Never backtrack past the assumptions.
                 cancelUntil(btlevel);
                 if (learnt.size() == 1) {
@@ -708,10 +648,6 @@ Solver::solve(const std::vector<Lit> &assumptions,
                 continue;
             }
 
-            if (stop_ && stop_->load(std::memory_order_relaxed)) {
-                cancelUntil(0);
-                return SatResult::Unknown;
-            }
             Lit next = pickBranchLit();
             if (next.isUndef())
                 return SatResult::Sat; // all variables assigned

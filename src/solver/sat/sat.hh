@@ -12,10 +12,7 @@
 #ifndef COPPELIA_SOLVER_SAT_SAT_HH
 #define COPPELIA_SOLVER_SAT_SAT_HH
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <vector>
 
 #include "util/stats.hh"
@@ -159,10 +156,6 @@ class Solver
      *  stay valid for every later query over the same database. */
     std::size_t numLearnts() const { return learnts_.size(); }
 
-    /** Total clauses (problem + learned) ever added to the database
-     *  (monotone; reduceDB marks removed learnts dead in place). */
-    std::size_t numClauses() const { return clauses_.size(); }
-
     /**
      * Enable/disable learnt-clause minimization in analyze(). The
      * binary-clause watcher fast path rides the same switch: with it
@@ -193,95 +186,6 @@ class Solver
     {
         reduceDbFactor_ = factor;
         reduceDbMargin_ = margin;
-    }
-
-    // --- portfolio/diversification hooks (smt::parallel) -------------------
-    // All of these default to the historical behavior, so a solver that
-    // never touches them stays bit-for-bit identical to the baseline.
-
-    /** Default phase polarity for fresh/reset variables. The baseline is
-     *  all-False (the BSEE's stitching heuristics rely on it); portfolio
-     *  racers diversify it. Rewrites every saved phase immediately. */
-    void
-    setDefaultPhase(bool positive)
-    {
-        defaultPhase_ = positive ? LBool::True : LBool::False;
-        std::fill(savedPhase_.begin(), savedPhase_.end(), defaultPhase_);
-    }
-
-    /** Luby restart unit (conflicts per restart_limit step; baseline 100). */
-    void setRestartBase(std::int64_t base) { restartBase_ = base; }
-
-    /** VSIDS activity decay (baseline 0.95; lower = more aggressive). */
-    void setVarDecay(double decay) { varDecay_ = decay; }
-
-    /**
-     * Cooperative interrupt: when @p flag becomes true, solve() returns
-     * Unknown at the next conflict or decision. Used by the portfolio
-     * race to kill losers once a racer has a definitive answer. Pass
-     * nullptr to detach.
-     */
-    void setInterrupt(const std::atomic<bool> *flag) { stop_ = flag; }
-
-    /**
-     * Export learnt clauses of at most @p max_lits literals through
-     * @p sink as they are learned (called from the solving thread, with
-     * the clause in first-UIP order). Size-capping keeps the shared
-     * stream to high-value clauses. Pass an empty function to detach.
-     */
-    void
-    setLearntExport(std::function<void(const std::vector<Lit> &)> sink,
-                    std::size_t max_lits)
-    {
-        learntSink_ = std::move(sink);
-        learntSinkMaxLits_ = max_lits;
-    }
-
-    /**
-     * Thread-safe clause import: enqueue a clause produced by another
-     * racer. The queue drains at the next restart boundary (the solver
-     * is at level 0 there, where addClause is legal). Sound only when
-     * the exporting solver works on the same clause database plus the
-     * same assumption units as this one.
-     */
-    void
-    importClause(std::vector<Lit> lits)
-    {
-        std::lock_guard<std::mutex> g(importMu_);
-        importQueue_.push_back(std::move(lits));
-        hasImports_.store(true, std::memory_order_release);
-    }
-
-    /** Clauses drained from the import queue into the database so far. */
-    std::uint64_t importedClauses() const { return importedClauses_; }
-
-    /**
-     * Replicate this solver into @p dst (which must be freshly
-     * constructed): same variable numbering, root-implied units, and all live clauses (problem and learnt).
-     * Must be called at decision level 0. dst ends at level 0 with the
-     * same root assignments, so models read from dst line up with this
-     * solver's variable numbering — the facade's model readback works
-     * unchanged against a clone.
-     */
-    void cloneInto(Solver &dst) const;
-
-    /** Root-level implied literals (the level-0 trail). */
-    const std::vector<Lit> &
-    rootUnits() const
-    {
-        return trail_;
-    }
-
-    /** Visit every live clause (problem and learnt); used by the
-     *  cube-and-conquer splitter to score variables by occurrence. */
-    void
-    forEachLiveClause(
-        const std::function<void(const std::vector<Lit> &)> &fn) const
-    {
-        for (const Clause &c : clauses_) {
-            if (!c.lits.empty())
-                fn(c.lits);
-        }
     }
 
   private:
@@ -339,7 +243,7 @@ class Solver
 
     // Activity bookkeeping.
     void bumpVar(Var v);
-    void decayVarActivity() { varInc_ /= varDecay_; }
+    void decayVarActivity() { varInc_ /= kVarDecay; }
     void bumpClause(Clause &c);
 
     int decisionLevel() const { return static_cast<int>(trailLim_.size()); }
@@ -380,20 +284,10 @@ class Solver
     std::vector<char> seen_;
 
     double varInc_ = 1.0;
-    double varDecay_ = 0.95;
+    static constexpr double kVarDecay = 0.95; ///< VSIDS activity decay
     double claInc_ = 1.0;
-
-    // Portfolio hooks (inert at defaults; see the public setters).
-    bool drainImports();
-    LBool defaultPhase_ = LBool::False;
-    std::int64_t restartBase_ = 100;
-    const std::atomic<bool> *stop_ = nullptr;
-    std::function<void(const std::vector<Lit> &)> learntSink_;
-    std::size_t learntSinkMaxLits_ = 0;
-    std::mutex importMu_;
-    std::vector<std::vector<Lit>> importQueue_;
-    std::atomic<bool> hasImports_{false};
-    std::uint64_t importedClauses_ = 0;
+    /** Conflicts per Luby restart unit. */
+    static constexpr std::int64_t kRestartBase = 100;
 
     StatGroup stats_;
 };

@@ -25,12 +25,11 @@
  * stage left is learnt-clause minimization inside conflict analysis
  * (`SolverOptions::minimize`).
  *
- * A counterexample cache in front of either backend mirrors KLEE's
+ * Counterexample reuse in front of either backend mirrors KLEE's
  * counterexample caching (enabled in the paper's "Original KLEE" baseline
- * configuration): exact query hits are answered immediately, and models
- * from previous satisfiable queries are tried against new queries before
- * paying for a SAT call. The cache is size-capped with FIFO eviction so a
- * long campaign job cannot grow it without bound.
+ * configuration): models from previous satisfiable queries, kept in a
+ * fixed-size ring, are tried against each new query before paying for a
+ * SAT call. Unsat and Unknown answers are never remembered.
  *
  * Each remembered model keeps a memo of the truth value of every
  * assertion already evaluated under it, so a query that shares
@@ -45,8 +44,6 @@
 #define COPPELIA_SOLVER_SOLVER_HH
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -74,11 +71,12 @@ enum class Result
 
 /**
  * Placeholder for a deleted solver setting: the `solverRewrite`,
- * `solverPreprocess` and `solverAdaptive` members of
+ * `solverPreprocess`, `solverAdaptive`, `solverThreads`,
+ * `solverPortfolio` and `solverCubeBudget` members of
  * campaign::CampaignSpec, bse::Options and bmc::BmcOptions. It holds no
  * value and nothing converts to it, so no code can set or read them.
  * The type exists only because `perfbench/perfbench.cc` still copies
- * those three members between the option structs.
+ * those six members between the option structs.
  */
 struct RemovedOption
 {
@@ -87,41 +85,16 @@ struct RemovedOption
 /** Solver configuration. */
 struct SolverOptions
 {
-    bool useCache = true;             ///< counterexample cache
     std::int64_t conflictBudget = -1; ///< per-query SAT conflict limit
     /** Keep one SAT instance across queries (assumption-based frames,
      *  memoized bit-blasting, learnt-clause retention). */
     bool incremental = true;
-    /** Counterexample-cache entry cap (0 = unbounded); oldest entries are
-     *  evicted first. */
-    std::size_t cacheMaxEntries = 1u << 16;
-    /** Cap on remembered models for counterexample reuse. */
+    /** Cap on remembered models for counterexample reuse (0 = no
+     *  reuse: every query goes to SAT). */
     std::size_t maxRecentModels = 64;
     /** Learnt-clause minimization in conflict analysis
      *  (`--no-minimize` ablation). */
     bool minimize = true;
-    /**
-     * Worker threads for the parallel escalation stages (portfolio race,
-     * cube-and-conquer). 1 = fully sequential: the parallel layer is
-     * never entered and every dispatch stays bit-for-bit identical to
-     * the seed baseline. At threads > 1 an unlimited base budget is
-     * bounded internally so the hard-query tail escalates into the
-     * parallel stages, whose final cube stage then runs unbounded —
-     * verdicts stay reproducible (soundness + a definitive final
-     * stage); witnesses and per-racer work are scheduling-dependent.
-     */
-    int threads = 1;
-    /** Portfolio-race stage of escalate() (threads > 1 only). */
-    bool portfolio = true;
-    /** Per-cube conflict budget for cube-and-conquer. 0 = auto: scales
-     *  off the configured budget, and is unlimited when the configured
-     *  budget is unlimited (keeping escalation definitive). */
-    std::int64_t cubeBudget = 0;
-    /** Sequential rungs of escalate()'s geometric budget ladder (rung k
-     *  retries at 4^k x the base budget) before the parallel stages.
-     *  The default single rung reproduces the historical one-shot 4x
-     *  retry exactly. */
-    int budgetLadderRungs = 1;
 };
 
 /**
@@ -160,13 +133,10 @@ class Solver
                            Model *model, std::int64_t conflict_budget);
 
     /**
-     * Escalation policy for a query check() answered Unknown: walk the
-     * geometric budget ladder sequentially (rung k at 4^k x the base
-     * budget, tagged retry=k in the querylog), then — at threads > 1 —
-     * race a diversified portfolio with learnt-clause sharing, then
-     * cube-and-conquer the query. Returns Unknown only when every stage
-     * exhausted its budget. At the defaults (one rung, threads = 1)
-     * this is exactly the historical single 4x retry.
+     * Retry a query check() answered Unknown once, at 4x the configured
+     * conflict budget (tagged retry=1 in the query log). Unknown again
+     * means the query stays undecided; under an unlimited budget there
+     * is nothing to retry and this returns Unknown at once.
      */
     Result escalate(const std::vector<TermRef> &assertions, Model *model);
 
@@ -176,26 +146,16 @@ class Solver
      */
     bool isSat(const std::vector<TermRef> &assertions);
 
-    /** Work counters: queries, cache hits, SAT calls, conflicts, and the
-     *  incremental-reuse measures (blast_cache_hits, learnts_retained). */
+    /** Work counters: queries, model-reuse hits, SAT calls, conflicts,
+     *  and the incremental-reuse measures (blast_cache_hits,
+     *  learnts_retained). */
     const StatGroup &stats() const { return stats_; }
-
-    /** Drop all cached query results. */
-    void clearCache();
 
     /** Drop the persistent SAT instance (incremental mode); the next query
      *  re-blasts from scratch. */
     void resetIncremental();
 
   private:
-    struct CacheEntry
-    {
-        Result result;
-        Model model; // valid when result == Sat
-    };
-
-    using Cache = std::map<std::vector<TermRef>, CacheEntry>;
-
     /** One counterexample-reuse slot: a remembered model and the truth
      *  value of each assertion already evaluated under it. */
     struct ReuseSlot
@@ -204,17 +164,10 @@ class Solver
         std::unordered_map<TermRef, bool> holds;
     };
 
-    /** Canonical cache key: sorted, deduplicated assertion refs. */
-    static std::vector<TermRef>
-    canonicalKey(const std::vector<TermRef> &assertions);
-
     /** True iff the slot's model satisfies every assertion; evaluates
      *  (and memoizes) only the assertions the slot has not seen. */
     bool modelSatisfies(const std::vector<TermRef> &assertions,
                         ReuseSlot &slot);
-
-    /** Insert with FIFO eviction against cacheMaxEntries. */
-    void cacheInsert(const std::vector<TermRef> &key, CacheEntry entry);
 
     /** Remember a model for counterexample reuse (ring buffer). */
     void rememberModel(const Model &model);
@@ -224,18 +177,6 @@ class Solver
     Result solveIncremental(const std::vector<TermRef> &assertions,
                             Model *model);
 
-    /** Parallel escalation stages (portfolio + cube); mirrors check()'s
-     *  cache wrapper around solveParallelCore. */
-    Result solveParallel(const std::vector<TermRef> &assertions,
-                         Model *model);
-    Result solveParallelCore(const std::vector<TermRef> &assertions,
-                             Model *model);
-
-    /** The base conflict budget actually dispatched: the configured one,
-     *  except that threads > 1 bounds an unlimited budget so hard
-     *  queries escalate into the parallel stages. */
-    std::int64_t effectiveBudget() const;
-
     /** Read back every theory variable of @p assertions from @p sat. */
     void readModel(const BitBlaster &blaster, const sat::Solver &sat,
                    const std::vector<TermRef> &assertions,
@@ -243,10 +184,8 @@ class Solver
 
     TermManager &tm_;
     SolverOptions opts_;
-    Cache cache_;
-    std::deque<Cache::iterator> cacheOrder_; ///< insertion order (FIFO)
-    std::vector<ReuseSlot> recentModels_;    ///< counterexample-reuse ring
-    std::size_t recentNext_ = 0;             ///< ring replacement cursor
+    std::vector<ReuseSlot> recentModels_; ///< counterexample-reuse ring
+    std::size_t recentNext_ = 0;          ///< ring replacement cursor
     StatGroup stats_;
 
     // Incremental backend (lazily created on the first query).

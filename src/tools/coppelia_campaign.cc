@@ -56,16 +56,11 @@ usage(const char *argv0)
         "  --retries N        retry budget for exhausted searches\n"
         "  --no-incremental   fresh SAT instance per solver query (the\n"
         "                     incremental-backend ablation)\n"
-        "  --conflict-budget N  per-query SAT conflict cap (default:\n"
-        "                     unlimited); Unknowns mark jobs incomplete\n"
+        "  --conflict-budget N  per-query SAT conflict cap (default -1:\n"
+        "                     unlimited); a query that hits it is retried\n"
+        "                     once at 4N, then marks its job incomplete\n"
         "  --no-minimize      skip learnt-clause minimization in conflict\n"
         "                     analysis\n"
-        "  --solver-threads N racer threads for the solver's parallel\n"
-        "                     escalation stages (default 1: sequential,\n"
-        "                     bit-for-bit reproducible)\n"
-        "  --no-portfolio     skip the portfolio-race escalation stage\n"
-        "  --cube-budget N    per-cube conflict budget for cube-and-\n"
-        "                     conquer (default 0: auto)\n"
         "  --out DIR          output directory (default: .)\n"
         "  --artifacts DIR    per-job forensics artifacts (solver query\n"
         "                     logs, search-recorder streams; default:\n"
@@ -118,9 +113,6 @@ main(int argc, char **argv)
     long long conflict_budget = -2; // -1 means "explicitly unlimited"
     bool no_incremental = false;
     bool no_minimize = false;
-    int solver_threads = -1;
-    bool no_portfolio = false;
-    long long cube_budget = -1; // >= 0 = set on the command line
     int fuzz_execs = -1, fuzz_stream = -1, fuzz_handoffs = -1;
     int sim_backend = -1; // index into rtl::SimBackend; -1 = not set
     bool require_backend = false;
@@ -134,19 +126,27 @@ main(int argc, char **argv)
             badArg(argv[0], std::string("missing value for ") + flag);
         return argv[++i];
     };
+    // A value must parse whole: std::stoll alone would read "2e4" as 2.
     auto numeric = [&](int &i, const char *flag, auto parse) {
         const std::string v = value(i, flag);
+        std::size_t used = 0;
         try {
-            return parse(v);
+            const auto n = parse(v, &used);
+            if (used == v.size())
+                return n;
         } catch (...) {
-            badArg(argv[0],
-                   std::string("bad value '") + v + "' for " + flag);
         }
-        return parse("0");
+        badArg(argv[0], std::string("bad value '") + v + "' for " + flag);
     };
-    auto to_int = [](const std::string &s) { return std::stoi(s); };
-    auto to_ll = [](const std::string &s) { return std::stoll(s); };
-    auto to_double = [](const std::string &s) { return std::stod(s); };
+    auto to_int = [](const std::string &s, std::size_t *used) {
+        return std::stoi(s, used);
+    };
+    auto to_ll = [](const std::string &s, std::size_t *used) {
+        return std::stoll(s, used);
+    };
+    auto to_double = [](const std::string &s, std::size_t *used) {
+        return std::stod(s, used);
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -214,16 +214,6 @@ main(int argc, char **argv)
             no_incremental = true;
         } else if (arg == "--no-minimize") {
             no_minimize = true;
-        } else if (arg == "--solver-threads") {
-            solver_threads = numeric(i, "--solver-threads", to_int);
-            if (solver_threads < 1)
-                badArg(argv[0], "--solver-threads wants a count >= 1");
-        } else if (arg == "--no-portfolio") {
-            no_portfolio = true;
-        } else if (arg == "--cube-budget") {
-            cube_budget = numeric(i, "--cube-budget", to_ll);
-            if (cube_budget < 0)
-                badArg(argv[0], "--cube-budget wants a count >= 0");
         } else if (arg == "--sim-backend") {
             const std::string name = value(i, "--sim-backend");
             rtl::SimBackend backend;
@@ -235,6 +225,8 @@ main(int argc, char **argv)
             require_backend = true;
         } else if (arg == "--conflict-budget") {
             conflict_budget = numeric(i, "--conflict-budget", to_ll);
+            if (conflict_budget < -1)
+                badArg(argv[0], "--conflict-budget wants a count >= -1");
         } else if (arg == "--out") {
             out_dir = value(i, "--out");
         } else if (arg == "--artifacts") {
@@ -288,12 +280,6 @@ main(int argc, char **argv)
         spec.solverMinimize = false;
     if (conflict_budget >= -1)
         spec.solverConflictBudget = conflict_budget;
-    if (solver_threads >= 1)
-        spec.solverThreads = solver_threads;
-    if (no_portfolio)
-        spec.solverPortfolio = false;
-    if (cube_budget >= 0)
-        spec.solverCubeBudget = cube_budget;
     if (fuzz_execs >= 0)
         spec.fuzzExecs = fuzz_execs;
     if (fuzz_stream >= 0)

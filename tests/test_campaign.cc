@@ -241,8 +241,8 @@ TEST(CampaignSpec, OnOffDirectivesAcceptOnlyOnAndOff)
         std::istringstream in(text);
         return campaign::parseSpec(in);
     };
-    for (const char *key : {"incremental", "minimize", "portfolio",
-                            "require-backend", "payload", "replay"}) {
+    for (const char *key : {"incremental", "minimize", "require-backend",
+                            "payload", "replay"}) {
         SCOPED_TRACE(key);
         parse(std::string(key) + " on\n");
         parse(std::string(key) + " off\n");
@@ -261,7 +261,9 @@ TEST(CampaignSpec, OnOffDirectivesAcceptOnlyOnAndOff)
 
 TEST(CampaignSpec, RemovedSolverDirectivesAreUnknown)
 {
-    for (const char *line : {"rewrite on\n", "preprocess on\n"}) {
+    for (const char *line : {"rewrite on\n", "preprocess on\n",
+                             "solver-threads 4\n", "portfolio on\n",
+                             "cube-budget 0\n"}) {
         SCOPED_TRACE(line);
         std::istringstream in(line);
         EXPECT_EXIT(campaign::parseSpec(in), ::testing::ExitedWithCode(1),
@@ -269,9 +271,37 @@ TEST(CampaignSpec, RemovedSolverDirectivesAreUnknown)
     }
 }
 
+TEST(CampaignSpec, NumericDirectivesRejectTrailingCharacters)
+{
+    auto parse = [](const std::string &text) {
+        std::istringstream in(text);
+        return campaign::parseSpec(in);
+    };
+    EXPECT_EQ(parse("conflict-budget 20000\n").solverConflictBudget, 20000);
+    EXPECT_EQ(parse("conflict-budget -1\n").solverConflictBudget, -1);
+    EXPECT_EQ(parse("workers 4\n").workers, 4);
+    EXPECT_EQ(parse("seed 42\n").seed, 42u);
+    EXPECT_DOUBLE_EQ(parse("time-limit 1.5\n").jobTimeLimitSeconds, 1.5);
+    // A parsable prefix is not a number: "2e4" would cap every query at
+    // 2 conflicts, and "4x" would run 4 workers.
+    EXPECT_EXIT(parse("conflict-budget 2e4\n"),
+                ::testing::ExitedWithCode(1), "malformed count");
+    EXPECT_EXIT(parse("workers 4x\n"), ::testing::ExitedWithCode(1),
+                "malformed count");
+    EXPECT_EXIT(parse("seed 42abc\n"), ::testing::ExitedWithCode(1),
+                "malformed value");
+    EXPECT_EXIT(parse("time-limit 60s\n"), ::testing::ExitedWithCode(1),
+                "malformed seconds");
+    EXPECT_EXIT(parse("monitor 8080.5\n"), ::testing::ExitedWithCode(1),
+                "malformed port");
+    // -1 is unlimited; anything lower is a typo, not a budget.
+    EXPECT_EXIT(parse("conflict-budget -5\n"),
+                ::testing::ExitedWithCode(1), "budget must be >= -1");
+}
+
 TEST(CampaignSpec, SolverDefaultsComeFromSolverOptions)
 {
-    // Every layer that carries the six solver settings takes its
+    // Every layer that carries the three solver settings takes its
     // defaults from smt::SolverOptions, so a default flips in one place.
     const smt::SolverOptions solver;
     auto agrees = [&solver](const auto &opts, const char *layer) {
@@ -279,9 +309,6 @@ TEST(CampaignSpec, SolverDefaultsComeFromSolverOptions)
         EXPECT_EQ(opts.incrementalSolver, solver.incremental);
         EXPECT_EQ(opts.solverConflictBudget, solver.conflictBudget);
         EXPECT_EQ(opts.solverMinimize, solver.minimize);
-        EXPECT_EQ(opts.solverThreads, solver.threads);
-        EXPECT_EQ(opts.solverPortfolio, solver.portfolio);
-        EXPECT_EQ(opts.solverCubeBudget, solver.cubeBudget);
     };
     agrees(campaign::CampaignSpec{}, "campaign::CampaignSpec");
     agrees(bse::Options{}, "bse::Options");
@@ -305,10 +332,16 @@ TEST(CampaignSpec, RemovedSolverSettingsCopyAcrossOptionStructs)
     engine.solverRewrite = spec.solverRewrite;
     engine.solverPreprocess = spec.solverPreprocess;
     engine.solverAdaptive = spec.solverAdaptive;
+    engine.solverThreads = spec.solverThreads;
+    engine.solverPortfolio = spec.solverPortfolio;
+    engine.solverCubeBudget = spec.solverCubeBudget;
     bmc::BmcOptions bmc;
     bmc.solverRewrite = spec.solverRewrite;
     bmc.solverPreprocess = spec.solverPreprocess;
     bmc.solverAdaptive = spec.solverAdaptive;
+    bmc.solverThreads = spec.solverThreads;
+    bmc.solverPortfolio = spec.solverPortfolio;
+    bmc.solverCubeBudget = spec.solverCubeBudget;
 }
 
 // --- Real exploit-generation campaigns ---------------------------------

@@ -3,8 +3,9 @@
  * Tests for the bit-vector theory layer: construction-time simplification,
  * concrete term evaluation, bit-blasting correctness (property sweeps pin
  * variables to random constants and require the solver's model to agree
- * with reference arithmetic), and the counterexample cache, including a
- * differential check of counterexample reuse against a plain scan.
+ * with reference arithmetic), counterexample reuse, including a
+ * differential check against a plain scan, and the conflict budget's
+ * single retry.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <map>
 #include <string>
 
+#include "solver/querylog.hh"
 #include "solver/solver.hh"
 #include "solver/term.hh"
 #include "util/rng.hh"
@@ -174,15 +176,27 @@ TEST(SolverFacade, ModelSatisfiesAllAssertions)
 
 TEST(SolverFacade, CacheHitsOnRepeat)
 {
+    // The model-reuse ring answers a repeated Sat query without a SAT
+    // call; nothing remembers an Unsat answer, so a repeat is re-proved.
     TermManager tm;
     Solver s(tm);
     TermRef x = tm.mkVar("x", 8);
-    TermRef q = tm.mkEq(x, tm.mkConst(8, 42));
-    (void)s.check(q, nullptr);
-    std::uint64_t calls_before = s.stats().get("sat_calls");
-    (void)s.check(q, nullptr);
-    EXPECT_EQ(s.stats().get("sat_calls"), calls_before);
-    EXPECT_GE(s.stats().get("cache_hits"), 1u);
+    TermRef sat_q = tm.mkEq(x, tm.mkConst(8, 42));
+    std::vector<TermRef> unsat_q{sat_q, tm.mkEq(x, tm.mkConst(8, 7))};
+
+    ASSERT_EQ(s.check(sat_q, nullptr), Result::Sat);
+    ASSERT_EQ(s.stats().get("sat_calls"), 1u);
+    Model m;
+    ASSERT_EQ(s.check(sat_q, &m), Result::Sat);
+    EXPECT_EQ(m.value(tm.term(x).varId), 42u);
+    EXPECT_EQ(s.stats().get("sat_calls"), 1u);
+    EXPECT_EQ(s.stats().get("model_reuse_hits"), 1u);
+
+    ASSERT_EQ(s.check(unsat_q, nullptr), Result::Unsat);
+    ASSERT_EQ(s.check(unsat_q, nullptr), Result::Unsat);
+    EXPECT_EQ(s.stats().get("sat_calls"), 3u);
+    EXPECT_EQ(s.stats().get("model_reuse_hits"), 1u);
+    EXPECT_EQ(s.stats().get("queries"), 4u);
 }
 
 TEST(SolverFacade, ModelReuseAvoidsSatCall)
@@ -221,15 +235,17 @@ TEST(SolverFacade, DefaultQueryRunsNeitherRewriteNorPreprocess)
 
 TEST(SolverFacade, CacheDisabled)
 {
+    // An empty ring remembers no model: a repeated Sat query is solved
+    // again.
     TermManager tm;
     SolverOptions opts;
-    opts.useCache = false;
+    opts.maxRecentModels = 0;
     Solver s(tm, opts);
     TermRef x = tm.mkVar("x", 8);
     TermRef q = tm.mkEq(x, tm.mkConst(8, 42));
-    (void)s.check(q, nullptr);
-    (void)s.check(q, nullptr);
-    EXPECT_EQ(s.stats().get("cache_hits"), 0u);
+    ASSERT_EQ(s.check(q, nullptr), Result::Sat);
+    ASSERT_EQ(s.check(q, nullptr), Result::Sat);
+    EXPECT_EQ(s.stats().get("model_reuse_hits"), 0u);
     EXPECT_EQ(s.stats().get("sat_calls"), 2u);
 }
 
@@ -397,10 +413,10 @@ TEST(Incremental, DifferentialAgainstFreshSolver)
 
         SolverOptions inc_opts;
         inc_opts.incremental = true;
-        inc_opts.useCache = false; // exercise the backend, not the cache
+        inc_opts.maxRecentModels = 0; // exercise the backend, not reuse
         SolverOptions fresh_opts;
         fresh_opts.incremental = false;
-        fresh_opts.useCache = false;
+        fresh_opts.maxRecentModels = 0;
         Solver inc(tm, inc_opts);
         Solver fresh(tm, fresh_opts);
 
@@ -457,7 +473,7 @@ TEST(Incremental, ResetDiscardsSolverStateButStaysCorrect)
 {
     TermManager tm;
     SolverOptions opts;
-    opts.useCache = false;
+    opts.maxRecentModels = 0;
     Solver s(tm, opts);
     TermRef x = tm.mkVar("x", 8);
     ASSERT_EQ(s.check(tm.mkEq(x, tm.mkConst(8, 3)), nullptr), Result::Sat);
@@ -497,8 +513,17 @@ TEST(SolverFacade, ExhaustedBudgetIsUnknownNotUnsat)
 
     // The retry path the engines use: same query, larger budget.
     EXPECT_EQ(s.checkWithBudget(cs, nullptr, -1), Result::Unsat);
-    // checkWithBudget must restore the configured budget afterwards.
-    EXPECT_EQ(s.check(cs, nullptr), Result::Unsat); // now cached
+    // The refutation's learnt clauses stay in the instance and answer a
+    // repeat without a conflict.
+    EXPECT_EQ(s.check(cs, nullptr), Result::Unsat);
+    // checkWithBudget must restore the configured budget afterwards: a
+    // triangle over fresh variables trips it again.
+    TermRef d = tm.mkVar("d", 1);
+    TermRef e = tm.mkVar("e", 1);
+    TermRef f = tm.mkVar("f", 1);
+    EXPECT_EQ(s.check({tm.mkXor(d, e), tm.mkXor(e, f), tm.mkXor(d, f)},
+                      nullptr),
+              Result::Unknown);
 }
 
 TEST(SolverFacade, UnknownIsNeverCached)
@@ -517,7 +542,6 @@ TEST(SolverFacade, UnknownIsNeverCached)
     // and must hit the SAT core again: a cached Unknown would be a lie the
     // retry path could never recover from.
     EXPECT_NE(s.check(cs, nullptr), Result::Sat);
-    EXPECT_EQ(s.stats().get("cache_hits"), 0u);
     EXPECT_EQ(s.stats().get("sat_calls"), 2u);
 }
 
@@ -541,24 +565,72 @@ TEST(SolverFacade, SolverStillUsableAfterUnknown)
     EXPECT_EQ(m.value(tm.term(x).varId), 9u);
 }
 
-TEST(SolverFacade, CacheCapEvictsOldestEntries)
+/**
+ * The conflict budget's one retry. A query that is Unknown at budget b
+ * and needs no more than 4b conflicts is recovered by escalate(), with a
+ * satisfying model and a query-log record tagged retry=1; one that needs
+ * more than 4b stays Unknown after exactly one more SAT call. On the
+ * fresh backend every SAT call repeats the same search, so the conflicts
+ * an unlimited solve needs calibrate both budgets.
+ */
+TEST(SolverFacade, EscalateRetriesOnceAtFourTimesBudget)
 {
     TermManager tm;
+    TermRef x = tm.mkVar("x", 12);
+    TermRef y = tm.mkVar("y", 12);
+    // Factor 251 * 241 into two 12-bit factors above 1, without overflow.
+    const std::vector<TermRef> query{
+        tm.mkEq(tm.mkMul(tm.mkZExt(x, 24), tm.mkZExt(y, 24)),
+                tm.mkConst(24, 251 * 241)),
+        tm.mkUlt(tm.mkConst(12, 1), x), tm.mkUlt(tm.mkConst(12, 1), y)};
     SolverOptions opts;
-    opts.cacheMaxEntries = 8;
-    opts.maxRecentModels = 4;
-    Solver s(tm, opts);
-    TermRef x = tm.mkVar("x", 8);
-    for (int i = 0; i < 32; ++i) {
-        ASSERT_EQ(s.check(tm.mkEq(x, tm.mkConst(8, i)), nullptr),
-                  Result::Sat);
+    opts.incremental = false;
+    std::uint64_t needed = 0;
+    {
+        Solver s(tm, opts);
+        ASSERT_EQ(s.check(query, nullptr), Result::Sat);
+        needed = s.stats().get("sat_conflicts");
     }
-    // 32 distinct pinned queries through an 8-entry cache: the FIFO must
-    // have evicted, and re-asking an evicted query must still be correct.
-    EXPECT_GE(s.stats().get("cache_evictions"), 24u);
-    Model m;
-    ASSERT_EQ(s.check(tm.mkEq(x, tm.mkConst(8, 0)), &m), Result::Sat);
-    EXPECT_EQ(m.value(tm.term(x).varId), 0u);
+    ASSERT_GE(needed, 16u) << "query too easy to split into budgets";
+    (void)querylog::drainThread();
+
+    // Unknown at b = needed / 2; the retry at 4b > needed recovers it.
+    opts.conflictBudget = static_cast<std::int64_t>(needed / 2);
+    {
+        Solver s(tm, opts);
+        Model m;
+        ASSERT_EQ(s.check(query, &m), Result::Unknown);
+        ASSERT_EQ(s.escalate(query, &m), Result::Sat);
+        for (TermRef c : query)
+            EXPECT_EQ(tm.eval(c, m), 1u);
+        EXPECT_EQ(s.stats().get("sat_calls"), 2u);
+        if constexpr (querylog::kEnabled) {
+            const querylog::Drained d = querylog::drainThread();
+            ASSERT_EQ(d.records.size(), 2u);
+            EXPECT_EQ(d.records[0].retry, 0u);
+            EXPECT_EQ(d.records[0].result, static_cast<int>(Result::Unknown));
+            EXPECT_EQ(d.records[1].retry, 1u);
+            EXPECT_EQ(d.records[1].result, static_cast<int>(Result::Sat));
+            EXPECT_EQ(d.records[1].conflicts, needed);
+        }
+    }
+
+    // Unknown at b = needed / 8; the retry at 4b < needed is not enough,
+    // and there is no second retry.
+    opts.conflictBudget = static_cast<std::int64_t>(needed / 8);
+    {
+        Solver s(tm, opts);
+        ASSERT_EQ(s.check(query, nullptr), Result::Unknown);
+        EXPECT_EQ(s.escalate(query, nullptr), Result::Unknown);
+        EXPECT_EQ(s.stats().get("sat_calls"), 2u);
+        EXPECT_EQ(s.stats().get("budget_exhausted"), 2u);
+        if constexpr (querylog::kEnabled) {
+            const querylog::Drained d = querylog::drainThread();
+            ASSERT_EQ(d.records.size(), 2u);
+            EXPECT_EQ(d.records[1].retry, 1u);
+            EXPECT_EQ(d.records[1].result, static_cast<int>(Result::Unknown));
+        }
+    }
 }
 
 TEST(SolverFacade, RecentModelRingStaysBoundedAndCorrect)
@@ -695,14 +767,9 @@ TEST(ReuseDifferential, AnswersMatchPlainScanOfMirroredRing)
             const std::string where =
                 "seed " + std::to_string(seed) + " q " + std::to_string(q);
 
-            // Exact repeats (after rewriting) hit the exact-key cache,
-            // and constant-false conjunctions short-circuit; neither
-            // reaches the reuse scan.
-            if (moved("cache_hits") || moved("trivially_unsat")) {
-                if (r == Result::Sat) {
-                    for (TermRef c : cs)
-                        ASSERT_EQ(tm.eval(c, m), 1u) << where;
-                }
+            // Constant-false conjunctions short-circuit before the scan.
+            if (moved("trivially_unsat")) {
+                ASSERT_EQ(r, Result::Unsat) << where;
                 continue;
             }
 

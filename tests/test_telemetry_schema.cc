@@ -248,8 +248,7 @@ TEST(QuerylogSchema, RecordJsonShapeIsPinned)
         "origin",    "assumptions",  "retry",
         "result",    "incremental",  "conflicts",
         "decisions", "propagations", "restarts",
-        "learnt_lits_saved", "wall_us", "mode",
-        "racer",     "winner",       "cubes"};
+        "learnt_lits_saved", "wall_us"};
     std::vector<std::string> emitted;
     for (const auto &[key, value] : v.members())
         emitted.push_back(key);
@@ -257,12 +256,7 @@ TEST(QuerylogSchema, RecordJsonShapeIsPinned)
     EXPECT_EQ(v.find("result")->asString(), "unsat");
     EXPECT_EQ(v.find("wall_us")->asInt(), 4567);
     EXPECT_TRUE(v.find("incremental")->asBool());
-    // v2: parallel-dispatch attribution (mode/racer/winner/cubes).
-    EXPECT_EQ(v.find("mode")->asString(), "seq");
-    EXPECT_EQ(v.find("racer")->asInt(), -1);
-    EXPECT_EQ(v.find("winner")->asInt(), -1);
-    EXPECT_EQ(v.find("cubes")->asInt(), 0);
-    EXPECT_EQ(smt::querylog::kQuerylogSchemaVersion, 3);
+    EXPECT_EQ(smt::querylog::kQuerylogSchemaVersion, 4);
 }
 
 TEST(QuerylogSchema, JsonlMetaLineCarriesTheAccountingTotals)
