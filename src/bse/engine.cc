@@ -198,6 +198,32 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         return *t;
     };
 
+    // Refute a depth-1 level in one query: the negated assertion over the
+    // whole cycle's next state, control branches lowered as ite terms (as
+    // bmc::checkAssertion lowers its transition), under the level's
+    // preconditions and exclusions and the widest Eq. 1 bound. The query
+    // is exact: it is the disjunction of every leaf's violation query
+    // under that bound, and the reset state (diff 0) lies inside it, so
+    // Unsat means no exploration left in the schedule can find a
+    // candidate or close from reset. Sat or Unknown only means the
+    // schedule goes on, so an Unknown here does not taint the search as
+    // incomplete.
+    auto refuteLevel = [&](const Level &level,
+                           std::vector<TermRef> query, TermRef diff_bound) {
+        sym::Lowering lowering(design_, tm, level.bound.binding, {},
+                               /*branches_as_ite=*/true);
+        std::unordered_map<SignalId, TermRef> next_regs;
+        for (SignalId sig : sym_regs) {
+            const rtl::ExprRef def = design_.signal(sig).def;
+            next_regs[sig] = def == rtl::NoExpr ? *lowering.lowerSignal(sig)
+                                                : *lowering.lower(def);
+        }
+        query.push_back(diff_bound);
+        query.push_back(
+            tm.mkNot(lowerOverPostState(assertion.cond, next_regs)));
+        return solver.check(query, nullptr) == smt::Result::Unsat;
+    };
+
     // Exclude a model's assignment to this level's variables.
     auto modelExclusion = [&](const Level &level, const Model &model,
                               bool include_inputs) {
@@ -466,12 +492,18 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
                                 bit_pins0);
         };
 
-        for (int diff_bound : diff_schedule) {
+        auto diffAtMost = [&](int bound) {
+            return tm.mkUle(diff_sum,
+                            tm.mkConst(8, static_cast<std::uint64_t>(bound)));
+        };
+        // Whether the last exploration stopped at a resource limit. It
+        // matters only when the level yields no candidate: a depth-1 level
+        // cut short cannot claim that no violation exists.
+        bool level_incomplete = false;
+        for (std::size_t step = 0; step < diff_schedule.size(); ++step) {
         std::vector<TermRef> bounded_preconds = preconds;
-        bounded_preconds.push_back(tm.mkUle(
-            diff_sum,
-            tm.mkConst(8, static_cast<std::uint64_t>(diff_bound))));
-        explorer.explore(
+        bounded_preconds.push_back(diffAtMost(diff_schedule[step]));
+        level_incomplete = !explorer.explore(
             level.bound.binding, sym_regs, bounded_preconds,
             [&](const sym::Leaf &leaf) {
                 // Build this leaf's target: assertion violation on the
@@ -555,6 +587,16 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
             });
         if (closed_from_reset || found_candidate)
             break;
+        // The first bound came back empty at depth 1: before exploring
+        // the wider ones, ask once whether any of them can be violated.
+        if (depth == 1 && step == 0 && diff_schedule.size() > 1 &&
+            refuteLevel(level, preconds, diffAtMost(diff_schedule.back()))) {
+            level_incomplete = false;
+            result.stats.inc("level1_refutations");
+            trace::instant("bse.refute", "bse");
+            recorder::event("refuted", "", iteration_counter, depth);
+            break;
+        }
         } // diff_schedule
 
         if (closed_from_reset) {
@@ -591,9 +633,9 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         if (!found_candidate) {
             // --- Feedback Generation (§II-D7) -----------------------------
             if (depth == 1) {
-                result.outcome =
-                    bound_hit ? Outcome::BoundExceeded
-                              : Outcome::NoViolation;
+                result.outcome = level_incomplete ? Outcome::BudgetExhausted
+                                 : bound_hit      ? Outcome::BoundExceeded
+                                                  : Outcome::NoViolation;
                 break;
             }
             trace::instant("bse.feedback", "bse");

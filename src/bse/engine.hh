@@ -82,8 +82,10 @@ struct Options
      * On the assertion iteration, also pin registers the violation
      * constrains whose model value equals reset (forged-state capture).
      * Helps bugs whose violating state forges checker registers (b31's
-     * load-tracking pair) at the cost of harder targets elsewhere; the
-     * driver retries with this flipped when the first search fails.
+     * load-tracking pair) at the cost of harder targets elsewhere. Read
+     * only when a depth-1 candidate is stitched, so
+     * core::Coppelia::generateExploit retries with this flipped when a
+     * first search that had one fails.
      */
     bool pinAssertionState = false;
     /** §II-D7: total feedback re-exploration budget. */
@@ -156,10 +158,14 @@ struct Options
 enum class Outcome
 {
     Found,           ///< trigger generated
-    NoViolation,     ///< the assertion cannot be violated in one step from
-                     ///< any state (exploration exhausted on iteration 1)
+    NoViolation,     ///< depth 1 yielded no candidate: its exploration
+                     ///< ran to completion (on iteration 1, or after
+                     ///< feedback excluded every earlier candidate), or one
+                     ///< query refuted it; states past the Eq. 1 bound of
+                     ///< reset are not searched
     BoundExceeded,   ///< no trigger within the configured bound
-    BudgetExhausted, ///< feedback rounds or time limit exhausted
+    BudgetExhausted, ///< feedback rounds or time limit exhausted, or an
+                     ///< explorer limit cut a depth-1 level short
 };
 
 const char *outcomeName(Outcome o);

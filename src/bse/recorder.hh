@@ -46,6 +46,8 @@ constexpr int kSearchSchemaVersion = 1;
  *   reject      detail = reason stat name; a = frontier depth
  *   feedback    a = frontier depth after popping; detail "unsat" when
  *               the level produced no candidate at all
+ *   refuted     a = frontier depth (1); one query showed that no wider
+ *               Eq. 1 bound holds a violation, so the level ends there
  *   stitch      a = new frontier depth, b = pinned registers stitched
  *   fallback    incremental attempt conceded to the fresh backend
  *   coverage    a = executions so far, b = coverage points hit

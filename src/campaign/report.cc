@@ -138,8 +138,13 @@ std::string
 progressCell(const json::Value &record)
 {
     const std::string kind = str(record, "kind");
-    if (kind == "exploit")
-        return fmtCount(num(record, "iterations")) + " iter";
+    if (kind == "exploit") {
+        // A refuted depth-1 level is why a search stopped after one
+        // exploration.
+        const bool refuted = statOf(record, "level1_refutations") > 0;
+        return fmtCount(num(record, "iterations")) + " iter" +
+               (refuted ? ", refuted" : "");
+    }
     if (kind == "fuzz")
         return fmtCount(num(record, "fuzz_execs")) + " execs, " +
                fmtCount(num(record, "fuzz_coverage_points")) + "/" +

@@ -51,7 +51,12 @@ Coppelia::generateExploit(const props::Assertion &assertion)
     }
     bse::BackwardEngine engine(design_, engine_opts);
     bse::TriggerResult trigger = engine.buildTrigger(assertion);
-    if (!trigger.found()) {
+    // A search that ended NoViolation at its first iteration never had a
+    // depth-1 candidate, the only place the engine reads
+    // pinAssertionState, so a flipped retry would replay its queries.
+    const bool never_pinned = trigger.outcome == bse::Outcome::NoViolation &&
+                              trigger.iterations == 1;
+    if (!trigger.found() && !never_pinned) {
         // Retry with the forged-state pinning flipped: some violations
         // need the assertion's reset-valued state captured exactly, and
         // others are hindered by it.

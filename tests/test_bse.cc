@@ -2,14 +2,16 @@
  * @file
  * Tests for the backward symbolic execution engine: trigger generation on
  * a toy accumulator machine (single- and multi-cycle triggers, outcome
- * classification, heuristic/stitching ablations), replayability of every
- * generated trigger on the concrete simulator, and integration runs on
- * the OR1200 core for single-instruction bugs.
+ * classification, heuristic/stitching ablations), the depth-1 refutation
+ * on a four-register machine, replayability of every generated trigger
+ * on the concrete simulator, and integration runs on the OR1200 core for
+ * single-instruction bugs.
  */
 
 #include <gtest/gtest.h>
 
 #include "bse/engine.hh"
+#include "core/coppelia.hh"
 #include "cpu/bugs.hh"
 #include "cpu/or1k/core.hh"
 #include "cpu/or1k/isa.hh"
@@ -301,6 +303,134 @@ TEST_F(ToyBse, SolverUnknownReportsIncompleteNotNoViolation)
     EXPECT_TRUE(r.solverIncomplete);
     EXPECT_GE(r.stats.get("solver_unknowns"), 1u);
     EXPECT_GE(r.stats.get("solver_unknowns_final"), 1u);
+}
+
+TEST_F(ToyBse, GenerateExploitRetriesFlippedPinAfterDepthOneCandidate)
+{
+    // cnt==7 past bound 3: the first search stitches depth-1 candidates
+    // and fails, so generateExploit's retry with pinAssertionState
+    // flipped still runs, and its iterations add to the first search's.
+    Assertion a = toyAssertion(
+        d, "cnt_not_7_retry", ne(b.read("cnt"), b.lit(4, 7)));
+    core::CoppeliaOptions opts;
+    opts.engine.bound = 3;
+    core::Coppelia tool(d, cpu::Processor::OR1200, opts);
+    core::ExploitResult res = tool.generateExploit(a);
+    EXPECT_EQ(res.outcome, Outcome::BoundExceeded);
+
+    Options flipped = opts.engine;
+    flipped.pinAssertionState = !flipped.pinAssertionState;
+    const TriggerResult first = BackwardEngine(d, opts.engine).buildTrigger(a);
+    const TriggerResult second = BackwardEngine(d, flipped).buildTrigger(a);
+    EXPECT_GT(first.iterations, 1);
+    EXPECT_EQ(res.iterations, first.iterations + second.iterations);
+}
+
+/**
+ * Four registers, all in the cone of an assertion over w, so the Eq. 1
+ * schedule has two bounds (1, then 4/4 + 1 = 2). Op 1 loads y, op 2
+ * loads z, op 0 loads x, and op 3 writes y & z & ~x into w, which every
+ * other op clears.
+ */
+Design
+quadMachine()
+{
+    Design d("quad");
+    Builder b(d);
+    auto op = b.input("op", 2);
+    auto imm = b.input("imm", 4);
+    auto w = b.reg("w", 4, 0);
+    auto x = b.reg("x", 4, 0);
+    auto y = b.reg("y", 4, 0);
+    auto z = b.reg("z", 4, 0);
+    b.process("exec");
+    auto sel = b.wire("sel", b.select(op,
+                                      {{1, b.lit(2, 1)},
+                                       {2, b.lit(2, 2)},
+                                       {3, b.lit(2, 3)}},
+                                      b.lit(2, 0)));
+    b.next(y, b.mux(eq(sel, b.lit(2, 1)), imm, y));
+    b.next(z, b.mux(eq(sel, b.lit(2, 2)), imm, z));
+    b.next(x, b.mux(eq(sel, b.lit(2, 0)), imm, x));
+    b.next(w, b.mux(eq(sel, b.lit(2, 3)), y & z & ~x, b.lit(4, 0)));
+    return d;
+}
+
+class QuadBse : public ::testing::Test
+{
+  protected:
+    Design d = quadMachine();
+    Builder b{d};
+
+    /** w & x == 0 holds after any step from any state. */
+    Assertion
+    validAssertion(const std::string &id)
+    {
+        return toyAssertion(
+            d, id, eq(b.read("w") & b.read("x"), b.lit(4, 0)));
+    }
+};
+
+TEST_F(QuadBse, ValidPropertyIsRefutedAfterOneExploration)
+{
+    Assertion a = validAssertion("w_and_x_zero");
+    BackwardEngine engine(d);
+    ASSERT_EQ(engine.symbolicRegisters(a).size(), 4u);
+    TriggerResult r = engine.buildTrigger(a);
+    EXPECT_EQ(r.outcome, Outcome::NoViolation);
+    EXPECT_FALSE(r.solverIncomplete);
+    EXPECT_EQ(r.iterations, 1);
+    // Bound 1 was explored; the refutation closed bound 2 without one.
+    EXPECT_EQ(r.stats.get("completed_explorations"), 1u);
+    EXPECT_EQ(r.stats.get("level1_refutations"), 1u);
+}
+
+TEST_F(QuadBse, TwoRegisterPredecessorSurvivesRefutation)
+{
+    // w == 15 needs y == z == 15 before op 3: two registers away from
+    // reset, so bound 1 comes back empty and the refutation is Sat.
+    Assertion a = toyAssertion(
+        d, "w_not_15", ne(b.read("w"), b.lit(4, 15)));
+    BackwardEngine engine(d);
+    TriggerResult r = engine.buildTrigger(a);
+    ASSERT_EQ(r.outcome, Outcome::Found);
+    EXPECT_EQ(r.stats.get("level1_refutations"), 0u);
+    EXPECT_EQ(r.cycles.size(), 3u);
+    EXPECT_TRUE(replayTrigger(d, a, r.cycles));
+}
+
+TEST_F(QuadBse, UnknownRefutationContinuesSchedule)
+{
+    // The property is valid, so its refutation is never Sat. One
+    // conflict is too few to refute it in one query, while every leaf
+    // query is decided within the budget and its 4x retry: the Unknown
+    // refutation leaves the schedule to explore bound 2, and the search
+    // still ends with a complete NoViolation.
+    Assertion a = validAssertion("w_and_x_zero_budget");
+    Options opts;
+    opts.solverConflictBudget = 1;
+    BackwardEngine engine(d, opts);
+    TriggerResult r = engine.buildTrigger(a);
+    EXPECT_EQ(r.outcome, Outcome::NoViolation);
+    EXPECT_FALSE(r.solverIncomplete);
+    EXPECT_EQ(r.stats.get("solver_unknowns_final"), 0u);
+    EXPECT_EQ(r.stats.get("level1_refutations"), 0u);
+    EXPECT_EQ(r.stats.get("completed_explorations"), 2u);
+}
+
+TEST_F(QuadBse, TruncatedExplorationIsNotNoViolation)
+{
+    // One leaf per exploration reaches only op 1's path; only op 3's
+    // path can make w == 15. A level cut short by the leaf limit must
+    // not report that no violation exists.
+    Assertion a = toyAssertion(
+        d, "w_not_15_truncated", ne(b.read("w"), b.lit(4, 15)));
+    Options opts;
+    opts.explorer.maxLeaves = 1;
+    BackwardEngine engine(d, opts);
+    TriggerResult r = engine.buildTrigger(a);
+    EXPECT_EQ(r.outcome, Outcome::BudgetExhausted);
+    EXPECT_GE(r.stats.get("stopped_max_leaves"), 1u);
 }
 
 TEST_F(ToyBse, ConeRestrictionShrinksSymbolicState)

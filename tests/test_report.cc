@@ -190,6 +190,22 @@ TEST(Report, SectionsPresentAndTitleEscaped)
     EXPECT_NE(empty.find("No fuzz coverage"), std::string::npos);
 }
 
+TEST(Report, RefutedSearchSaysWhyItStopped)
+{
+    ReportData d = syntheticData();
+    JobForensics patched;
+    patched.record = obj(
+        R"({"schema_version":4,"job":2,"kind":"exploit","processor":"or1200",)"
+        R"("bug":"b03","assertion":"a03_rfe_restores_sr","status":"ok",)"
+        R"("found":false,"iterations":1,"seconds":0.1,)"
+        R"("stats":{"level1_refutations":1}})");
+    d.jobs.push_back(patched);
+    const std::string html = campaign::report::renderHtml(d);
+    EXPECT_NE(html.find("<td>1 iter, refuted</td>"), std::string::npos);
+    // The searches that explored past depth 1 keep the plain count.
+    EXPECT_NE(html.find("<td>2 iter</td>"), std::string::npos);
+}
+
 TEST(Report, SlowestQueryRankingConsistentWithJobStats)
 {
     const ReportData d = syntheticData();
