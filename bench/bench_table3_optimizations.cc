@@ -105,7 +105,7 @@ forwardSearch(const rtl::Design &design, const props::Assertion &assertion,
                                 : tm.mkConst(s.width,
                                              s.resetValue.bits());
             }
-            sym::Lowering lower(design, tm, post, {});
+            sym::Lowering lower(design, tm, post);
             auto safe = lower.lower(assertion.cond);
             std::vector<smt::TermRef> q = leaf.pathCond;
             q.push_back(tm.mkNot(*safe));

@@ -110,7 +110,7 @@ checkAssertion(const rtl::Design &design,
         input_vars_per_t.push_back(ivars);
 
         // Monolithic transition relation (control branches as ite terms).
-        sym::Lowering lowering(design, tm, binding, {},
+        sym::Lowering lowering(design, tm, binding, /*decisions=*/nullptr,
                                /*branches_as_ite=*/true);
         std::unordered_map<SignalId, TermRef> next;
         for (SignalId sig = 0; sig < design.numSignals(); ++sig) {
@@ -128,14 +128,13 @@ checkAssertion(const rtl::Design &design,
         }
 
         // Violation at this depth?
-        sym::Lowering assert_lower(design, tm, next, {},
+        sym::Lowering assert_lower(design, tm, next, /*decisions=*/nullptr,
                                    /*branches_as_ite=*/true);
         auto safe = assert_lower.lower(assertion.cond);
         if (!safe)
             panic("bmc assertion lowering suspended");
         std::vector<TermRef> query = path;
         query.push_back(tm.mkNot(*safe));
-        res.stats.inc("bmc_queries");
 
         smt::Model model;
         smt::Result qr = solver.check(query, &model);
@@ -174,19 +173,7 @@ checkAssertion(const rtl::Design &design,
         state = std::move(next);
     }
 
-    res.stats.inc("solver_sat_calls", solver.stats().get("sat_calls"));
-    res.stats.inc("solver_incremental_queries",
-                  solver.stats().get("incremental_queries"));
-    res.stats.inc("solver_blast_cache_hits",
-                  solver.stats().get("blast_cache_hits"));
-    res.stats.inc("solver_blast_terms_lowered",
-                  solver.stats().get("blast_terms_lowered"));
-    res.stats.inc("solver_learnts_retained",
-                  solver.stats().get("learnts_retained"));
-    res.stats.inc("solver_solve_us", solver.stats().get("solve_us"));
-    res.stats.inc("solver_learnt_lits_saved",
-                  solver.stats().get("learnt_lits_saved"));
-    res.stats.inc("solver_escalations", solver.stats().get("escalations"));
+    res.stats.merge(solver.stats(), "solver_");
     res.seconds = timer.seconds();
     return res;
 }

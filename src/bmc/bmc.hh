@@ -99,6 +99,8 @@ struct BmcResult
      *  found" then means the check was incomplete, not depth-clean. */
     bool solverIncomplete = false;
     double seconds = 0.0;
+    /** Every counter of the check's solver, prefixed "solver_", plus
+     *  the checker's own Unknown counts. */
     StatGroup stats;
 };
 

@@ -39,22 +39,18 @@ BackwardEngine::BackwardEngine(const rtl::Design &design, Options opts)
 std::vector<SignalId>
 BackwardEngine::symbolicRegisters(const props::Assertion &assertion) const
 {
-    std::vector<SignalId> regs;
-    if (opts_.useConeOfInfluence) {
-        coi::CoiResult cone = coi::analyze(design_, assertion.vars);
-        regs.assign(cone.coneRegisters.begin(), cone.coneRegisters.end());
-    } else {
-        for (SignalId sig = 0; sig < design_.numSignals(); ++sig) {
-            if (design_.signal(sig).kind == rtl::SignalKind::Register)
-                regs.push_back(sig);
-        }
-    }
+    coi::CoiResult cone = coi::analyze(design_, assertion.vars);
+    std::vector<SignalId> regs(cone.coneRegisters.begin(),
+                               cone.coneRegisters.end());
     std::sort(regs.begin(), regs.end());
     return regs;
 }
 
 namespace
 {
+
+/** Per-level cap on rejected candidate models before backtracking. */
+constexpr int kMaxCandidatesPerLevel = 32;
 
 /** Per-iteration search state. */
 struct Level
@@ -73,8 +69,6 @@ struct Level
     std::unordered_map<SignalId, std::uint64_t> predState;
     TriggerCycle inputs;
     Model model;
-    /** Constrained mode: the accumulated condition over all later cycles. */
-    TermRef accum = smt::NoTerm;
 };
 
 /** Serialize a predecessor state for the Eq. 2 no-repeat rule. */
@@ -93,7 +87,7 @@ TriggerResult
 BackwardEngine::buildTrigger(const props::Assertion &assertion)
 {
     TriggerResult result = searchTrigger(assertion, opts_.incrementalSolver);
-    if (!opts_.incrementalSolver || !opts_.incrementalFallback)
+    if (!opts_.incrementalSolver)
         return result;
     if (result.outcome != Outcome::BudgetExhausted || result.solverIncomplete)
         return result;
@@ -191,7 +185,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
                                ? it->second
                                : tm.mkConst(s.width, reset_bits(sig));
         }
-        sym::Lowering lowering(design_, tm, binding, {});
+        sym::Lowering lowering(design_, tm, binding);
         auto t = lowering.lower(expr);
         if (!t)
             panic("assertion lowering hit a control branch");
@@ -210,7 +204,8 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     // incomplete.
     auto refuteLevel = [&](const Level &level,
                            std::vector<TermRef> query, TermRef diff_bound) {
-        sym::Lowering lowering(design_, tm, level.bound.binding, {},
+        sym::Lowering lowering(design_, tm, level.bound.binding,
+                               /*decisions=*/nullptr,
                                /*branches_as_ite=*/true);
         std::unordered_map<SignalId, TermRef> next_regs;
         for (SignalId sig : sym_regs) {
@@ -290,16 +285,10 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     // the level that closed the search).
     auto assemble = [&](const Model &reset_model) {
         result.cycles.clear();
-        if (opts_.stitch == StitchMode::Constrained) {
-            // The final model covers every cycle's variables.
-            for (auto it = levels.rbegin(); it != levels.rend(); ++it)
-                result.cycles.push_back(extractInputs(*it, reset_model));
-        } else {
-            Level &top = levels.back();
-            top.inputs = extractInputs(top, reset_model);
-            for (auto it = levels.rbegin(); it != levels.rend(); ++it)
-                result.cycles.push_back(it->inputs);
-        }
+        Level &top = levels.back();
+        top.inputs = extractInputs(top, reset_model);
+        for (auto it = levels.rbegin(); it != levels.rend(); ++it)
+            result.cycles.push_back(it->inputs);
     };
 
     while (true) {
@@ -316,7 +305,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         // a converging search takes none, while each one costs a whole
         // exploration iteration, so a few of them concede long before the
         // iteration patience would.
-        if (use_incremental && opts_.incrementalFallback &&
+        if (use_incremental &&
             ((opts_.incrementalPatienceIterations > 0 &&
               iteration_counter >= opts_.incrementalPatienceIterations) ||
              marching_rejects >= 3)) {
@@ -371,14 +360,9 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
             diff_sum = tm.mkAdd(diff_sum, tm.mkZExt(differs, 8));
         }
         std::vector<int> diff_schedule;
-        if (opts_.fastValidationDiff) {
-            for (int bound = 1; bound < diff_threshold; bound *= 2)
-                diff_schedule.push_back(bound);
-            diff_schedule.push_back(diff_threshold);
-        } else {
-            diff_schedule.push_back(
-                static_cast<int>(level.bound.regVars.size()));
-        }
+        for (int bound = 1; bound < diff_threshold; bound *= 2)
+            diff_schedule.push_back(bound);
+        diff_schedule.push_back(diff_threshold);
 
         // --- One Instruction Generation: explore one clock cycle ---------
         // Per leaf we first ask the cheap question "does the *reset* state
@@ -513,17 +497,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
                     TermRef safe =
                         lowerOverPostState(assertion.cond, leaf.nextRegs);
                     target = tm.mkNot(safe);
-                } else if (opts_.stitch == StitchMode::Constrained) {
-                    // Rewrite the accumulated later-cycle condition over
-                    // this leaf's next-state terms.
-                    const Level &prev = levels[levels.size() - 2];
-                    std::unordered_map<int, TermRef> subst;
-                    for (const auto &[sig, var] : prev.bound.regVars) {
-                        auto it = leaf.nextRegs.find(sig);
-                        if (it != leaf.nextRegs.end())
-                            subst[tm.term(var).varId] = it->second;
-                    }
-                    target = tm.substitute(prev.accum, subst);
                 } else {
                     target = tm.mkTrue();
                     // Backward-progress rule: at least one pinned register
@@ -703,12 +676,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
                 target_var_ids.count(tm.term(var).varId))
                 level.predState[sig] = value;
         }
-        if (opts_.stitch == StitchMode::Constrained) {
-            TermRef acc = candidate_target;
-            for (TermRef t : candidate_leaf.pathCond)
-                acc = tm.mkAnd(acc, t);
-            level.accum = acc;
-        }
 
         // --- Fast Validation (§II-D4) -------------------------------------
         auto reject = [&](const char *stat) {
@@ -721,14 +688,13 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         };
 
         bool rejected = false;
-        if (opts_.fastValidationDiff &&
-            static_cast<int>(level.predState.size()) > diff_threshold) {
+        if (static_cast<int>(level.predState.size()) > diff_threshold) {
             // The Eq. 1 bound is also enforced as a query constraint;
             // this is the belt-and-braces post-check.
             reject("fastval_diff_rejects");
             rejected = true;
         }
-        if (!rejected && opts_.fastValidationRepeat) {
+        if (!rejected) {
             auto key = stateKey(level.predState);
             if (history.count(key)) {
                 reject("fastval_repeat_rejects");
@@ -744,7 +710,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         // stitched levels pinning an identical set, further candidates
         // with that set are rejected, steering the solver to a different
         // chain.
-        if (!rejected && opts_.fastValidationRepeat && levels.size() >= 4) {
+        if (!rejected && levels.size() >= 4) {
             std::vector<SignalId> key_set;
             for (const auto &[sig, value] : level.predState) {
                 (void)value;
@@ -782,7 +748,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         }
 
         if (rejected) {
-            if (level.candidatesTried > opts_.maxCandidatesPerLevel) {
+            if (level.candidatesTried > kMaxCandidatesPerLevel) {
                 // Give up on this level; feed back to the previous one.
                 if (depth == 1) {
                     result.outcome = bound_hit ? Outcome::BoundExceeded
@@ -823,32 +789,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     if (solver_incomplete && result.outcome == Outcome::NoViolation)
         result.outcome = Outcome::BudgetExhausted;
     result.stats.merge(explorer.stats());
-    result.stats.inc("solver_queries", solver.stats().get("queries"));
-    result.stats.inc("solver_sat_calls", solver.stats().get("sat_calls"));
-    result.stats.inc("solver_model_reuse_hits",
-                     solver.stats().get("model_reuse_hits"));
-    result.stats.inc("solver_trivially_unsat",
-                     solver.stats().get("trivially_unsat"));
-    result.stats.inc("solver_incremental_queries",
-                     solver.stats().get("incremental_queries"));
-    result.stats.inc("solver_blast_cache_hits",
-                     solver.stats().get("blast_cache_hits"));
-    result.stats.inc("solver_blast_terms_lowered",
-                     solver.stats().get("blast_terms_lowered"));
-    result.stats.inc("solver_learnts_retained",
-                     solver.stats().get("learnts_retained"));
-    result.stats.inc("solver_solve_us", solver.stats().get("solve_us"));
-    result.stats.inc("solver_sat_conflicts",
-                     solver.stats().get("sat_conflicts"));
-    result.stats.inc("solver_sat_decisions",
-                     solver.stats().get("sat_decisions"));
-    result.stats.inc("solver_sat_propagations",
-                     solver.stats().get("sat_propagations"));
-    result.stats.inc("solver_sat_restarts",
-                     solver.stats().get("sat_restarts"));
-    result.stats.inc("solver_learnt_lits_saved",
-                     solver.stats().get("learnt_lits_saved"));
-    result.stats.inc("solver_escalations", solver.stats().get("escalations"));
+    result.stats.merge(solver.stats(), "solver_");
     result.seconds = timer.seconds();
     return result;
 }

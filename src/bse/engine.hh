@@ -14,9 +14,9 @@
  *      to reset: the diff rule (Eq. 1: at most |s|/4 + 1 registers may
  *      differ from reset) and the no-repeat rule (Eq. 2);
  *   4. Bound Checking — give up past a configurable trigger length;
- *   5. Stitching Cycles — concrete stitching by default (§II-D6: pin the
- *      candidate predecessor's registers to the model's values), with the
- *      complete constrained mode available for the ablation;
+ *   5. Stitching Cycles — concrete stitching (§II-D6: pin the candidate
+ *      predecessor's registers that the model moved off reset to the
+ *      model's values);
  *   6. Feedback Generation — when an iteration dead-ends, return to the
  *      previous one and continue exploration excluding the test cases
  *      already tried (§II-D7).
@@ -46,14 +46,6 @@
 namespace coppelia::bse
 {
 
-/** How consecutive cycles are stitched together (§II-D6). */
-enum class StitchMode
-{
-    Concrete,    ///< pin the predecessor state to the model's values
-    Constrained, ///< carry the full path condition backward (complete but
-                 ///< as expensive as forward execution)
-};
-
 /** Precondition factory: extra constraints over a cycle's fresh variables
  *  (preconditioned symbolic execution, §II-E1 — e.g. legal opcodes). */
 using PreconditionFn = std::function<std::vector<smt::TermRef>(
@@ -70,14 +62,6 @@ struct Options
 {
     /** Maximum trigger length in instructions (§II-D5). */
     int bound = 8;
-    /** Eq. 1: reject intermediate states with too many non-reset regs. */
-    bool fastValidationDiff = true;
-    /** Eq. 2: reject repeated intermediate states. */
-    bool fastValidationRepeat = true;
-    /** §II-D3: restrict symbolic registers to the assertion's cone. */
-    bool useConeOfInfluence = true;
-    /** Cycle stitching mode. */
-    StitchMode stitch = StitchMode::Concrete;
     /**
      * On the assertion iteration, also pin registers the violation
      * constrains whose model value equals reset (forged-state capture).
@@ -99,16 +83,6 @@ struct Options
      *  exhausts it is retried once with 4x the budget; a still-Unknown
      *  query marks the search incomplete instead of pruning the branch. */
     std::int64_t solverConflictBudget = smt::SolverOptions{}.conflictBudget;
-    /**
-     * Witness-sensitivity fallback: the stitching heuristics steer by the
-     * concrete models the solver returns, so a backend whose witness
-     * selection differs (the persistent instance's retained clauses and
-     * variable numbering) can derail a search the fresh backend closes in
-     * a handful of iterations. With this on, an incremental search that
-     * exhausts its budget — and not because of conflict-budget Unknowns,
-     * which would recur — is rerun once on the fresh backend.
-     */
-    bool incrementalFallback = true;
     /** Learnt-clause minimization in conflict analysis (the
      *  `--no-minimize` ablation flips this off). */
     bool solverMinimize = smt::SolverOptions{}.minimize;
@@ -116,15 +90,13 @@ struct Options
     smt::RemovedOption solverRewrite, solverPreprocess, solverAdaptive;
     smt::RemovedOption solverThreads, solverPortfolio, solverCubeBudget;
     /**
-     * Iteration patience for the incremental attempt when the fallback is
-     * armed: past this many iterations the search concedes to the fresh
-     * rerun instead of wandering to full budget exhaustion (converging
-     * searches close within a handful of iterations; derailed ones run to
-     * hundreds). 0 disables the early concession.
+     * Iteration patience for an incremental search: past this many
+     * iterations it concedes to the fresh fallback rerun instead of
+     * wandering to full budget exhaustion (converging searches close
+     * within a handful of iterations; derailed ones run to hundreds).
+     * 0 disables the early concession.
      */
     int incrementalPatienceIterations = 16;
-    /** Per-level cap on rejected candidate models before backtracking. */
-    int maxCandidatesPerLevel = 32;
     /** Wall-clock limit in seconds (0 = unlimited). */
     double timeLimitSeconds = 0.0;
     /**
@@ -150,7 +122,7 @@ struct Options
      */
     std::function<bool(const std::vector<TriggerCycle> &)>
         validator;
-    /** Forward-exploration settings (search heuristic, fork limits). */
+    /** Forward-exploration settings (search heuristic, limits). */
     sym::ExplorerOptions explorer;
 };
 
@@ -188,6 +160,8 @@ struct TriggerResult
      */
     bool solverIncomplete = false;
     double seconds = 0.0;
+    /** The engine's and the explorer's counters, plus every counter of
+     *  the search's solver, prefixed "solver_". */
     StatGroup stats;
 
     bool found() const { return outcome == Outcome::Found; }
@@ -202,15 +176,16 @@ class BackwardEngine
     /** Build a trigger for a violation of @p assertion. */
     TriggerResult buildTrigger(const props::Assertion &assertion);
 
-    /** Registers made symbolic for the given assertion (after the cone
-     *  restriction) — exposed for diagnostics and benches. */
+    /** Registers made symbolic for the given assertion: its cone of
+     *  influence (§II-D3) — exposed for diagnostics and benches. */
     std::vector<rtl::SignalId>
     symbolicRegisters(const props::Assertion &assertion) const;
 
   private:
-    /** One full search on the chosen backend (buildTrigger may run two).
-     *  The fallback rerun passes use_minimization=false so the recovery
-     *  path sees the witness stream of the unminimized fresh solver. */
+    /** One full search on the chosen backend. When an incremental
+     *  search exhausts its budget, buildTrigger runs one more on the
+     *  fresh backend with use_minimization=false, so the recovery path
+     *  sees the witness stream of the unminimized fresh solver. */
     TriggerResult searchTrigger(const props::Assertion &assertion,
                                 bool use_incremental,
                                 bool use_minimization = true);

@@ -13,6 +13,16 @@
 namespace coppelia::fuzz
 {
 
+namespace
+{
+
+/** Corpus cap; the oldest entries are culled past it. */
+constexpr std::size_t kMaxCorpus = 256;
+/** Distinct divergences recorded before the run stops recording more. */
+constexpr std::size_t kMaxDivergences = 8;
+
+} // namespace
+
 Fuzzer::Fuzzer(const rtl::Design &design, cpu::Processor processor,
                FuzzOptions opts)
     : design_(design), opts_(opts), gen_(processor),
@@ -172,8 +182,7 @@ Fuzzer::run()
         // a point no earlier stream hit.
         if (coverage_.coveredPoints() > before) {
             corpus_.push_back(stream);
-            if (opts_.maxCorpus > 0 &&
-                static_cast<int>(corpus_.size()) > opts_.maxCorpus)
+            if (corpus_.size() > kMaxCorpus)
                 corpus_.erase(corpus_.begin());
             // Coverage-over-time checkpoint for the forensics stream:
             // one event per coverage step traces the plateau shape
@@ -187,8 +196,7 @@ Fuzzer::run()
         if (d) {
             const std::string key = divergenceKey(*d);
             if (seen.insert(key).second &&
-                static_cast<int>(res.divergences.size()) <
-                    opts_.maxDivergences) {
+                res.divergences.size() < kMaxDivergences) {
                 FuzzDivergence fd;
                 fd.rawLength = d->cycle + 1;
                 Divergence dm = *d;

@@ -44,10 +44,6 @@ struct FuzzOptions
     int maxExecs = 1024;
     /** Longest stream the generator and mutators will build. */
     int maxStreamLen = 24;
-    /** Corpus cap; oldest entries are culled past it. */
-    int maxCorpus = 256;
-    /** Stop recording after this many distinct divergences. */
-    int maxDivergences = 8;
     /** Wall-clock limit in seconds (0 = unlimited). */
     double timeLimitSeconds = 0.0;
     /** External cancellation hook, polled once per execution. */

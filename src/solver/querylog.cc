@@ -59,8 +59,6 @@ writeJsonl(std::ostream &out, const Drained &d)
         out << recordToJson(r).dump() << "\n";
 }
 
-#ifndef COPPELIA_NO_QUERY_LOG
-
 namespace
 {
 
@@ -260,7 +258,5 @@ clearGlobalSlowest()
     g.slowestCount = 0;
     g.slowestMinWall.store(0, std::memory_order_relaxed);
 }
-
-#endif // COPPELIA_NO_QUERY_LOG
 
 } // namespace coppelia::smt::querylog

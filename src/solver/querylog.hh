@@ -23,11 +23,7 @@
  *    of a very chatty search survive any number of overwrites;
  *  - a process-wide top-K (mutex-guarded; the fast path that skips the
  *    mutex reads only atomics) feeds the monitor's live
- *    `slowest_queries` view;
- *  - the whole subsystem compiles out: configure with
- *    `-DCOPPELIA_QUERY_LOG=OFF` (defines COPPELIA_NO_QUERY_LOG) and
- *    record() is an empty inline, drains return nothing, and the solver
- *    skips the delta bookkeeping via `if constexpr (querylog::kEnabled)`.
+ *    `slowest_queries` view.
  */
 
 #ifndef COPPELIA_SOLVER_QUERYLOG_HH
@@ -41,12 +37,6 @@
 
 namespace coppelia::smt::querylog
 {
-
-#ifdef COPPELIA_NO_QUERY_LOG
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 /** The per-job query-log artifact (queries.jsonl) schema version,
  *  emitted in the meta line that heads every flush. v2 added the
@@ -101,8 +91,6 @@ struct Drained
 
 const char *resultName(int result);
 
-#ifndef COPPELIA_NO_QUERY_LOG
-
 /** The calling thread's context (mutable; see Context). */
 Context &context();
 
@@ -119,35 +107,6 @@ std::vector<Record> globalSlowest();
 
 /** Forget the process-wide top-K (test / campaign-boundary hygiene). */
 void clearGlobalSlowest();
-
-#else // COPPELIA_NO_QUERY_LOG: every entry point is a no-op
-
-inline Context &
-context()
-{
-    thread_local Context dummy;
-    return dummy;
-}
-inline void
-record(const Record &)
-{
-}
-inline Drained
-drainThread()
-{
-    return {};
-}
-inline std::vector<Record>
-globalSlowest()
-{
-    return {};
-}
-inline void
-clearGlobalSlowest()
-{
-}
-
-#endif // COPPELIA_NO_QUERY_LOG
 
 /** One record as a JSON object (the queries.jsonl line shape). */
 json::Value recordToJson(const Record &r);

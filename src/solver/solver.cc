@@ -166,14 +166,11 @@ Solver::solveCore(const std::vector<TermRef> &assertions, Model *model)
     // Per-query deltas for the forensics record: the backends accumulate
     // their SAT-core deltas into stats_, so the difference across the
     // dispatch is exactly this query's work.
-    std::uint64_t c0 = 0, d0 = 0, p0 = 0, r0 = 0, l0 = 0;
-    if constexpr (querylog::kEnabled) {
-        c0 = stats_.get("sat_conflicts");
-        d0 = stats_.get("sat_decisions");
-        p0 = stats_.get("sat_propagations");
-        r0 = stats_.get("sat_restarts");
-        l0 = stats_.get("learnt_lits_saved");
-    }
+    const std::uint64_t c0 = stats_.get("sat_conflicts");
+    const std::uint64_t d0 = stats_.get("sat_decisions");
+    const std::uint64_t p0 = stats_.get("sat_propagations");
+    const std::uint64_t r0 = stats_.get("sat_restarts");
+    const std::uint64_t l0 = stats_.get("learnt_lits_saved");
     // The span brackets exactly the region the solve_us counter times, so
     // a folded trace's smt.solve total, the solver_solve_us telemetry,
     // and the smt.solve_us registry histogram agree (the acceptance
@@ -189,19 +186,17 @@ Solver::solveCore(const std::vector<TermRef> &assertions, Model *model)
     span.close();
     stats_.inc("solve_us", us);
     live().solveUs->observe(us);
-    if constexpr (querylog::kEnabled) {
-        querylog::Record rec;
-        rec.assumptions = static_cast<std::uint32_t>(assertions.size());
-        rec.conflicts = stats_.get("sat_conflicts") - c0;
-        rec.decisions = stats_.get("sat_decisions") - d0;
-        rec.propagations = stats_.get("sat_propagations") - p0;
-        rec.restarts = stats_.get("sat_restarts") - r0;
-        rec.learntLitsSaved = stats_.get("learnt_lits_saved") - l0;
-        rec.wallUs = us;
-        rec.result = static_cast<int>(r);
-        rec.incremental = opts_.incremental;
-        querylog::record(rec);
-    }
+    querylog::Record rec;
+    rec.assumptions = static_cast<std::uint32_t>(assertions.size());
+    rec.conflicts = stats_.get("sat_conflicts") - c0;
+    rec.decisions = stats_.get("sat_decisions") - d0;
+    rec.propagations = stats_.get("sat_propagations") - p0;
+    rec.restarts = stats_.get("sat_restarts") - r0;
+    rec.learntLitsSaved = stats_.get("learnt_lits_saved") - l0;
+    rec.wallUs = us;
+    rec.result = static_cast<int>(r);
+    rec.incremental = opts_.incremental;
+    querylog::record(rec);
     return r;
 }
 
@@ -343,15 +338,6 @@ Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model)
     if (model)
         readModel(*incBlaster_, *incSat_, assertions, model);
     return Result::Sat;
-}
-
-bool
-Solver::isSat(const std::vector<TermRef> &assertions)
-{
-    Result r = check(assertions, nullptr);
-    if (r == Result::Unknown)
-        fatal("solver budget exhausted on a must-decide query");
-    return r == Result::Sat;
 }
 
 void

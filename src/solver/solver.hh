@@ -140,12 +140,6 @@ class Solver
      */
     Result escalate(const std::vector<TermRef> &assertions, Model *model);
 
-    /**
-     * True iff the conjunction of assertions is satisfiable; fatal on
-     * Unknown (used where a budget overrun indicates a tool bug).
-     */
-    bool isSat(const std::vector<TermRef> &assertions);
-
     /** Work counters: queries, model-reuse hits, SAT calls, conflicts,
      *  and the incremental-reuse measures (blast_cache_hits,
      *  learnts_retained). */

@@ -679,74 +679,6 @@ TermManager::collectVars(TermRef ref, std::vector<int> &out_vars) const
     }
 }
 
-TermRef
-TermManager::substitute(TermRef ref,
-                        const std::unordered_map<int, TermRef> &subst)
-{
-    std::unordered_map<TermRef, TermRef> memo;
-    std::vector<std::pair<TermRef, bool>> stack{{ref, false}};
-    while (!stack.empty()) {
-        auto [r, expanded] = stack.back();
-        stack.pop_back();
-        if (memo.count(r))
-            continue;
-        const Term t = terms_.at(r); // copy: mk* below may reallocate
-        if (t.op == TOp::Const) {
-            memo[r] = r;
-            continue;
-        }
-        if (t.op == TOp::Var) {
-            auto it = subst.find(t.varId);
-            if (it != subst.end() &&
-                widthOf(it->second) != t.width)
-                fatal("substitute: width mismatch for ",
-                      varNames_.at(t.varId));
-            memo[r] = it == subst.end() ? r : it->second;
-            continue;
-        }
-        if (!expanded) {
-            stack.push_back({r, true});
-            for (TermRef a : t.args) {
-                if (a != NoTerm && !memo.count(a))
-                    stack.push_back({a, false});
-            }
-            continue;
-        }
-        const TermRef a = t.args[0] != NoTerm ? memo.at(t.args[0]) : NoTerm;
-        const TermRef b = t.args[1] != NoTerm ? memo.at(t.args[1]) : NoTerm;
-        const TermRef c = t.args[2] != NoTerm ? memo.at(t.args[2]) : NoTerm;
-        TermRef out = NoTerm;
-        switch (t.op) {
-          case TOp::Not: out = mkNot(a); break;
-          case TOp::Neg: out = mkNeg(a); break;
-          case TOp::RedOr: out = mkRedOr(a); break;
-          case TOp::RedAnd: out = mkRedAnd(a); break;
-          case TOp::RedXor: out = mkRedXor(a); break;
-          case TOp::And: out = mkAnd(a, b); break;
-          case TOp::Or: out = mkOr(a, b); break;
-          case TOp::Xor: out = mkXor(a, b); break;
-          case TOp::Add: out = mkAdd(a, b); break;
-          case TOp::Sub: out = mkSub(a, b); break;
-          case TOp::Mul: out = mkMul(a, b); break;
-          case TOp::Shl: out = mkShl(a, b); break;
-          case TOp::LShr: out = mkLShr(a, b); break;
-          case TOp::AShr: out = mkAShr(a, b); break;
-          case TOp::Eq: out = mkEq(a, b); break;
-          case TOp::Ult: out = mkUlt(a, b); break;
-          case TOp::Slt: out = mkSlt(a, b); break;
-          case TOp::Concat: out = mkConcat(a, b); break;
-          case TOp::Extract: out = mkExtract(a, t.hi, t.lo); break;
-          case TOp::ZExt: out = mkZExt(a, t.width); break;
-          case TOp::SExt: out = mkSExt(a, t.width); break;
-          case TOp::Ite: out = mkIte(a, b, c); break;
-          default:
-            panic("substitute: unhandled op ", topName(t.op));
-        }
-        memo[r] = out;
-    }
-    return memo.at(ref);
-}
-
 std::string
 TermManager::toString(TermRef ref) const
 {

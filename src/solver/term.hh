@@ -182,16 +182,6 @@ class TermManager
     /** Collect the variable ids appearing in a term. */
     void collectVars(TermRef ref, std::vector<int> &out_vars) const;
 
-    /**
-     * Substitute variables by terms (rebuilds bottom-up through the
-     * simplifying constructors). Used by the backward engine's constrained
-     * stitching mode: a later cycle's path condition is rewritten over the
-     * earlier cycle's next-state terms.
-     * @param subst map from variable id to replacement term
-     */
-    TermRef substitute(TermRef ref,
-                       const std::unordered_map<int, TermRef> &subst);
-
     /** Render as an S-expression (debugging). */
     std::string toString(TermRef ref) const;
 

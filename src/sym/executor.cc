@@ -94,15 +94,10 @@ CycleExplorer::explore(const Binding &binding,
     searcher.push(std::move(initial));
 
     std::uint64_t leaves = 0;
-    std::uint64_t forks = 0;
 
     while (!searcher.empty()) {
         if (opts_.maxLeaves && leaves >= opts_.maxLeaves) {
             stats_.inc("stopped_max_leaves");
-            return false;
-        }
-        if (opts_.maxForks && forks >= opts_.maxForks) {
-            stats_.inc("stopped_max_forks");
             return false;
         }
         if (opts_.timeLimitSeconds > 0 &&
@@ -112,7 +107,7 @@ CycleExplorer::explore(const Binding &binding,
         }
 
         PathState state = searcher.pop();
-        Lowering lowering(design_, tm_, binding, state.decisions);
+        Lowering lowering(design_, tm_, binding, &state.decisions);
 
         // Lower every root register's next-state expression. A suspended
         // lowering means an undecided control branch: fork.
@@ -158,7 +153,6 @@ CycleExplorer::explore(const Binding &binding,
         if (pb.ite == rtl::NoExpr)
             panic("lowering suspended without a pending branch");
 
-        ++forks;
         stats_.inc("forks");
         for (bool taken : {false, true}) {
             PathState child;
@@ -167,19 +161,17 @@ CycleExplorer::explore(const Binding &binding,
             child.pathCond = state.pathCond;
             child.pathCond.push_back(taken ? pb.cond : tm_.mkNot(pb.cond));
 
-            if (opts_.checkForkFeasibility) {
-                stats_.inc("feasibility_queries");
-                // Three-valued on purpose: only a proven-Unsat branch may
-                // be pruned. Unknown (conflict budget exhausted) keeps the
-                // branch — pruning it would silently drop feasible paths.
-                smt::Result fr = solver_.check(child.pathCond, nullptr);
-                if (fr == smt::Result::Unsat) {
-                    stats_.inc("infeasible_pruned");
-                    continue;
-                }
-                if (fr == smt::Result::Unknown)
-                    stats_.inc("feasibility_unknowns");
+            stats_.inc("feasibility_queries");
+            // Three-valued on purpose: only a proven-Unsat branch may be
+            // pruned. Unknown (conflict budget exhausted) keeps the
+            // branch — pruning it would silently drop feasible paths.
+            smt::Result fr = solver_.check(child.pathCond, nullptr);
+            if (fr == smt::Result::Unsat) {
+                stats_.inc("infeasible_pruned");
+                continue;
             }
+            if (fr == smt::Result::Unknown)
+                stats_.inc("feasibility_unknowns");
             searcher.push(std::move(child));
         }
     }

@@ -50,10 +50,7 @@ struct ExplorerOptions
     int dfsQuota = 500;
     /** Resource limits (0 = unlimited). */
     std::uint64_t maxLeaves = 0;
-    std::uint64_t maxForks = 0;
     double timeLimitSeconds = 0.0;
-    /** Prune infeasible forks with solver calls (KLEE-style). */
-    bool checkForkFeasibility = true;
     std::uint64_t seed = 1;
 };
 
@@ -98,7 +95,8 @@ class Searcher
 
 /**
  * Explores the design for one clock cycle from a symbolic root state.
- * The caller provides:
+ * Each fork's two children are checked for feasibility and a provably
+ * infeasible one is pruned (KLEE-style). The caller provides:
  *  - a Binding for every input and every explored register,
  *  - the set of root registers whose next-state logic to explore,
  *  - optional precondition terms conjoined to every path condition

@@ -10,10 +10,19 @@ using rtl::Op;
 using rtl::SignalId;
 using smt::TermRef;
 
+namespace
+{
+
+/** What a Lowering built without decisions consults. */
+const Decisions kNoDecisions;
+
+} // namespace
+
 Lowering::Lowering(const rtl::Design &design, smt::TermManager &tm,
-                   const Binding &binding, const Decisions &decisions,
+                   const Binding &binding, const Decisions *decisions,
                    bool branches_as_ite)
-    : design_(design), tm_(tm), binding_(binding), decisions_(decisions),
+    : design_(design), tm_(tm), binding_(binding),
+      decisions_(decisions ? decisions : &kNoDecisions),
       branchesAsIte_(branches_as_ite)
 {}
 
@@ -98,8 +107,8 @@ Lowering::lowerRec(ExprRef ref)
                     return std::nullopt;
                 return memoize(*branch);
             }
-            auto dit = decisions_.find(ref);
-            if (dit == decisions_.end()) {
+            auto dit = decisions_->find(ref);
+            if (dit == decisions_->end()) {
                 pending_.ite = ref;
                 pending_.cond = *cond;
                 return std::nullopt;

@@ -44,12 +44,16 @@ class Lowering
 {
   public:
     /**
+     * @param binding must outlive the Lowering
+     * @param decisions the path's branch decisions, or nullptr for none
+     *        (an undecided control branch then suspends at once); when
+     *        given, must outlive the Lowering
      * @param branches_as_ite treat control branches as plain if-then-else
      *        terms instead of suspension points (used by the BMC baseline
      *        to build a monolithic transition relation).
      */
     Lowering(const rtl::Design &design, smt::TermManager &tm,
-             const Binding &binding, const Decisions &decisions,
+             const Binding &binding, const Decisions *decisions = nullptr,
              bool branches_as_ite = false);
 
     /**
@@ -70,7 +74,7 @@ class Lowering
     const rtl::Design &design_;
     smt::TermManager &tm_;
     const Binding &binding_;
-    const Decisions &decisions_;
+    const Decisions *decisions_; ///< never null
     std::unordered_map<rtl::ExprRef, smt::TermRef> exprMemo_;
     std::unordered_map<rtl::SignalId, smt::TermRef> sigMemo_;
     PendingBranch pending_;

@@ -48,6 +48,8 @@ foldTracks(const std::vector<TrackEvents> &tracks)
         for (const Event &ev : track.events) {
             if (ev.phase == 'X')
                 spans.push_back(&ev);
+            else if (ev.phase == 'i')
+                ++rows[ev.name ? ev.name : ""].count; // no time
         }
         if (spans.empty())
             continue;
@@ -166,7 +168,7 @@ loadChromeTraceFile(const std::string &path, std::vector<TrackEvents> *out,
             }
             continue;
         }
-        if (ph->asString() != "X")
+        if (ph->asString() != "X" && ph->asString() != "i")
             continue;
         const json::Value *ts = ev.find("ts");
         const json::Value *dur = ev.find("dur");
@@ -174,7 +176,7 @@ loadChromeTraceFile(const std::string &path, std::vector<TrackEvents> *out,
             continue;
         Event out_ev;
         out_ev.name = internString(name->asString());
-        out_ev.phase = 'X';
+        out_ev.phase = ph->asString()[0];
         out_ev.startUs = static_cast<std::uint64_t>(ts->asNumber());
         out_ev.durUs = dur && dur->isNumber()
                            ? static_cast<std::uint64_t>(dur->asNumber())

@@ -7,7 +7,9 @@
  * time covered by spans nested inside it on the same track), so "where
  * did the campaign's wall-clock go" is one table instead of a timeline
  * crawl: e.g. `bse.search` total ≈ the whole engine, while its self time
- * excludes the `smt.solve` leaves that dominate it.
+ * excludes the `smt.solve` leaves that dominate it. Instant events
+ * (`bse.refute`, `bse.fallback`, ...) fold to rows of their own that
+ * count occurrences and carry no time.
  */
 
 #ifndef COPPELIA_TRACE_FOLD_HH
@@ -23,11 +25,11 @@
 namespace coppelia::trace
 {
 
-/** Aggregate for one span name across every track. */
+/** Aggregate for one span or instant name across every track. */
 struct FoldRow
 {
     std::string name;
-    std::uint64_t count = 0;
+    std::uint64_t count = 0; ///< spans, or instants (which have no time)
     std::uint64_t totalUs = 0; ///< inclusive (sum of span durations)
     std::uint64_t selfUs = 0;  ///< exclusive (minus nested spans)
 };
@@ -36,7 +38,7 @@ struct FoldRow
 struct FoldReport
 {
     std::vector<FoldRow> rows; ///< sorted by totalUs, descending
-    std::uint64_t spanCount = 0;
+    std::uint64_t spanCount = 0; ///< 'X' events only
     std::uint64_t wallUs = 0; ///< max span end − min span start
     int tracks = 0;           ///< tracks that carried at least one span
 
@@ -44,7 +46,8 @@ struct FoldReport
     const FoldRow *find(const std::string &name) const;
 };
 
-/** Fold the given tracks ('X' events; counters/instants are ignored). */
+/** Fold the given tracks ('X' spans and 'i' instants; counters are
+ *  ignored). */
 FoldReport foldTracks(const std::vector<TrackEvents> &tracks);
 
 /** Fold everything currently buffered by the live trace. */
@@ -52,7 +55,8 @@ FoldReport foldLive();
 
 /**
  * Load a Chrome trace JSON document (as written by writeChromeTrace, but
- * any file of "X" events with pid/tid/ts/dur loads) back into tracks.
+ * any file of "X" events with pid/tid/ts/dur and "i" events with
+ * pid/tid/ts loads) back into tracks.
  * Returns false and fills @p error on unreadable or malformed input.
  */
 bool loadChromeTraceFile(const std::string &path,

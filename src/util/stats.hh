@@ -44,12 +44,13 @@ class StatGroup
         return it == counters_.end() ? 0 : it->second;
     }
 
-    /** Merge another group into this one by summation. */
+    /** Merge another group into this one by summation, each of its
+     *  names prefixed with @p prefix (e.g. "solver_"). */
     void
-    merge(const StatGroup &other)
+    merge(const StatGroup &other, const std::string &prefix = "")
     {
         for (const auto &[k, v] : other.counters_)
-            counters_[k] += v;
+            counters_[prefix + k] += v;
     }
 
     /** Reset all counters to zero. */

@@ -4,6 +4,7 @@
  * reset are replayable by construction; IFV-like witnesses from an
  * unconstrained state find one-step violations but are frequently not
  * replayable (the paper's "intermediate trigger" behaviour, §IV-C(3)).
+ * Results forward the solver's counters, so their queries reconcile.
  */
 
 #include <gtest/gtest.h>
@@ -88,6 +89,33 @@ TEST(Bmc, DeeperBugNeedsDeeperBound)
     ASSERT_TRUE(r.found);
     EXPECT_EQ(r.depth, 2);
     EXPECT_TRUE(r.replayableFromReset);
+}
+
+TEST(Bmc, SolverQueriesReconcileWithOutcomeBuckets)
+{
+    // A BMC result carries every solver counter, so each query lands in
+    // exactly one outcome bucket: a SAT call, a model-reuse hit or a
+    // trivially-unsat short circuit.
+    for (cpu::BugState state :
+         {cpu::BugState::Present, cpu::BugState::Patched}) {
+        cpu::BugConfig config;
+        config.set(cpu::BugId::b03, state);
+        rtl::Design d = cpu::or1k::buildOr1200(config);
+        auto asserts = cpu::or1k::or1200Assertions(d);
+        const auto &a = props::findAssertion(asserts, "a03_rfe_restores_sr");
+        for (Preset preset : {Preset::IfvLike, Preset::EbmcLike}) {
+            const BmcResult r = checkAssertion(d, a, optionsFor(preset));
+            EXPECT_EQ(r.found, state == cpu::BugState::Present);
+            const StatGroup &st = r.stats;
+            EXPECT_GT(st.get("solver_queries"), 0u);
+            EXPECT_EQ(st.get("solver_queries"),
+                      st.get("solver_sat_calls") +
+                          st.get("solver_model_reuse_hits") +
+                          st.get("solver_trivially_unsat"))
+                << presetName(preset) << " "
+                << (state == cpu::BugState::Present ? "buggy" : "patched");
+        }
+    }
 }
 
 } // namespace

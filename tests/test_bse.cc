@@ -2,10 +2,10 @@
  * @file
  * Tests for the backward symbolic execution engine: trigger generation on
  * a toy accumulator machine (single- and multi-cycle triggers, outcome
- * classification, heuristic/stitching ablations), the depth-1 refutation
- * on a four-register machine, replayability of every generated trigger
- * on the concrete simulator, and integration runs on the OR1200 core for
- * single-instruction bugs.
+ * classification, search-mode and solver-backend ablations, the cone
+ * restriction), the depth-1 refutation on a four-register machine,
+ * replayability of every generated trigger on the concrete simulator,
+ * and integration runs on the OR1200 core for single-instruction bugs.
  */
 
 #include <gtest/gtest.h>
@@ -158,32 +158,6 @@ TEST_F(ToyBse, BoundExceededOnDeepTarget)
     EXPECT_EQ(r.outcome, Outcome::BoundExceeded);
 }
 
-TEST_F(ToyBse, ConstrainedStitchingAlsoFinds)
-{
-    Assertion a = toyAssertion(
-        d, "cnt_not_2c", ne(b.read("cnt"), b.lit(4, 2)));
-    Options opts;
-    opts.stitch = StitchMode::Constrained;
-    BackwardEngine engine(d, opts);
-    TriggerResult r = engine.buildTrigger(a);
-    ASSERT_EQ(r.outcome, Outcome::Found);
-    EXPECT_EQ(r.cycles.size(), 2u);
-    EXPECT_TRUE(replayTrigger(d, a, r.cycles));
-}
-
-TEST_F(ToyBse, FastValidationCanBeDisabled)
-{
-    Assertion a = toyAssertion(
-        d, "cnt_not_2d", ne(b.read("cnt"), b.lit(4, 2)));
-    Options opts;
-    opts.fastValidationDiff = false;
-    opts.fastValidationRepeat = false;
-    BackwardEngine engine(d, opts);
-    TriggerResult r = engine.buildTrigger(a);
-    ASSERT_EQ(r.outcome, Outcome::Found);
-    EXPECT_TRUE(replayTrigger(d, a, r.cycles));
-}
-
 TEST_F(ToyBse, AllSearchModesFind)
 {
     for (auto mode : {sym::SearchMode::BFS, sym::SearchMode::DFS,
@@ -247,22 +221,6 @@ TEST_F(ToyBse, PatienceFallbackRestartsOnFreshBackend)
     EXPECT_GE(r.stats.get("incremental_patience_exhausted"), 1u);
     // Merged stats still carry the incremental attempt's work.
     EXPECT_GT(r.stats.get("solver_incremental_queries"), 0u);
-}
-
-TEST_F(ToyBse, PatienceIsDisarmedWithoutFallback)
-{
-    // Without the fresh fallback armed there is nothing to concede to:
-    // the same patience setting must not cut the incremental search off.
-    Assertion a = toyAssertion(
-        d, "cnt2_no_fb", ne(b.read("cnt"), b.lit(4, 2)));
-    Options opts;
-    opts.incrementalPatienceIterations = 1;
-    opts.incrementalFallback = false;
-    BackwardEngine engine(d, opts);
-    TriggerResult r = engine.buildTrigger(a);
-    ASSERT_EQ(r.outcome, Outcome::Found);
-    EXPECT_TRUE(replayTrigger(d, a, r.cycles));
-    EXPECT_EQ(r.stats.get("incremental_fallbacks"), 0u);
 }
 
 /**
@@ -438,12 +396,8 @@ TEST_F(ToyBse, ConeRestrictionShrinksSymbolicState)
     // An assertion over cnt alone needs only cnt symbolic.
     Assertion a = toyAssertion(
         d, "cnt_cone", ne(b.read("cnt"), b.lit(4, 2)));
-    BackwardEngine with_coi(d);
-    EXPECT_EQ(with_coi.symbolicRegisters(a).size(), 1u);
-    Options opts;
-    opts.useConeOfInfluence = false;
-    BackwardEngine without(d, opts);
-    EXPECT_EQ(without.symbolicRegisters(a).size(), 2u);
+    BackwardEngine engine(d);
+    EXPECT_EQ(engine.symbolicRegisters(a).size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
  * @file
  * Cross-module integration tests: the HDL frontend feeding the backward
  * engine end-to-end (the quickstart pipeline), optimization passes
- * preserving OR1200 semantics under random instruction streams, term
- * substitution round trips, data-section resolution for triggers, and the
- * emitted exploit source structure.
+ * preserving OR1200 semantics under random instruction streams,
+ * data-section resolution for triggers, and the emitted exploit source
+ * structure.
  */
 
 #include <gtest/gtest.h>
@@ -109,29 +109,6 @@ TEST(Integration, OptimizedOr1200MatchesUnoptimized)
                 << sig << " cycle " << cycle;
         }
     }
-}
-
-TEST(Integration, SubstitutionRebuildsSimplified)
-{
-    smt::TermManager tm;
-    smt::TermRef x = tm.mkVar("x", 8);
-    smt::TermRef y = tm.mkVar("y", 8);
-    smt::TermRef e = tm.mkAdd(tm.mkAnd(x, tm.mkConst(8, 0x0f)), y);
-    // x := 0xff simplifies the AND away; y := 1 folds with constants.
-    std::unordered_map<int, smt::TermRef> sub{
-        {tm.term(x).varId, tm.mkConst(8, 0xff)},
-        {tm.term(y).varId, tm.mkConst(8, 1)},
-    };
-    smt::TermRef r = tm.substitute(e, sub);
-    std::uint64_t k;
-    ASSERT_TRUE(tm.isConst(r, &k));
-    EXPECT_EQ(k, 0x10u);
-
-    // Width-mismatched substitution dies loudly.
-    std::unordered_map<int, smt::TermRef> bad{
-        {tm.term(x).varId, tm.mkConst(4, 1)},
-    };
-    EXPECT_DEATH((void)tm.substitute(e, bad), "width mismatch");
 }
 
 TEST(Integration, DataSectionResolution)

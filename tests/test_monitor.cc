@@ -21,7 +21,6 @@
 #include "campaign/campaign.hh"
 #include "metrics/metrics.hh"
 #include "monitor/monitor.hh"
-#include "solver/querylog.hh"
 #include "trace/fold.hh"
 #include "util/json.hh"
 
@@ -270,27 +269,22 @@ TEST(Monitor, RegistryJsonlAndTraceFoldAgree)
     // counts and summed wall time match the registry to the microsecond;
     // the smt.solve trace span brackets the same region on its own clock
     // reads, so the fold total agrees within 1%.
-    if (smt::querylog::kEnabled) {
-        std::uint64_t hist_sum = 0;
-        for (const metrics::HistogramSample &h :
-             metrics::snapshot().histograms) {
-            if (h.name == "smt.solve_us")
-                hist_sum += h.sum;
-        }
-        EXPECT_EQ(jsonl_querylog_records, reg_sat_calls);
-        EXPECT_EQ(jsonl_querylog_wall_us, hist_sum);
-        const double fold_total = static_cast<double>(row->totalUs);
-        const double log_total =
-            static_cast<double>(jsonl_querylog_wall_us);
-        // 1% relative, with a small absolute floor: this smoke's solver
-        // total is ~0.2s of microsecond-scale queries, so a couple of
-        // scheduler preemptions between a span's two clock reads are
-        // measurement noise, not lost records.
-        EXPECT_NEAR(fold_total, log_total,
-                    std::max(0.01 * std::max(fold_total, log_total),
-                             5000.0))
-            << "trace fold and query log disagree by more than 1%";
+    std::uint64_t hist_sum = 0;
+    for (const metrics::HistogramSample &h : metrics::snapshot().histograms) {
+        if (h.name == "smt.solve_us")
+            hist_sum += h.sum;
     }
+    EXPECT_EQ(jsonl_querylog_records, reg_sat_calls);
+    EXPECT_EQ(jsonl_querylog_wall_us, hist_sum);
+    const double fold_total = static_cast<double>(row->totalUs);
+    const double log_total = static_cast<double>(jsonl_querylog_wall_us);
+    // 1% relative, with a small absolute floor: this smoke's solver
+    // total is ~0.2s of microsecond-scale queries, so a couple of
+    // scheduler preemptions between a span's two clock reads are
+    // measurement noise, not lost records.
+    EXPECT_NEAR(fold_total, log_total,
+                std::max(0.01 * std::max(fold_total, log_total), 5000.0))
+        << "trace fold and query log disagree by more than 1%";
 
     // And the live exposition agrees with the registry it renders.
     std::string body, error;

@@ -5,9 +5,8 @@
  * survive any number of overwrites; total_wall_us still covers dropped
  * records), the process-wide slowest view, and the allocation-free
  * guarantee of the record() hot path (counting operator new). The
- * search recorder's enable gate and drain share the file. Under
- * -DCOPPELIA_QUERY_LOG=OFF the querylog cases skip; the JSON shape
- * tests live in test_telemetry_schema.cc and still run.
+ * search recorder's enable gate and drain share the file. The JSON
+ * shape tests live in test_telemetry_schema.cc.
  */
 
 #include <atomic>
@@ -85,8 +84,6 @@ class QuerylogTest : public ::testing::Test
     void
     SetUp() override
     {
-        if (!querylog::kEnabled)
-            GTEST_SKIP() << "query log compiled out";
         // Start from a clean thread buffer and global view whatever ran
         // before in this binary.
         querylog::drainThread();

@@ -604,15 +604,13 @@ TEST(SolverFacade, EscalateRetriesOnceAtFourTimesBudget)
         for (TermRef c : query)
             EXPECT_EQ(tm.eval(c, m), 1u);
         EXPECT_EQ(s.stats().get("sat_calls"), 2u);
-        if constexpr (querylog::kEnabled) {
-            const querylog::Drained d = querylog::drainThread();
-            ASSERT_EQ(d.records.size(), 2u);
-            EXPECT_EQ(d.records[0].retry, 0u);
-            EXPECT_EQ(d.records[0].result, static_cast<int>(Result::Unknown));
-            EXPECT_EQ(d.records[1].retry, 1u);
-            EXPECT_EQ(d.records[1].result, static_cast<int>(Result::Sat));
-            EXPECT_EQ(d.records[1].conflicts, needed);
-        }
+        const querylog::Drained d = querylog::drainThread();
+        ASSERT_EQ(d.records.size(), 2u);
+        EXPECT_EQ(d.records[0].retry, 0u);
+        EXPECT_EQ(d.records[0].result, static_cast<int>(Result::Unknown));
+        EXPECT_EQ(d.records[1].retry, 1u);
+        EXPECT_EQ(d.records[1].result, static_cast<int>(Result::Sat));
+        EXPECT_EQ(d.records[1].conflicts, needed);
     }
 
     // Unknown at b = needed / 8; the retry at 4b < needed is not enough,
@@ -624,12 +622,10 @@ TEST(SolverFacade, EscalateRetriesOnceAtFourTimesBudget)
         EXPECT_EQ(s.escalate(query, nullptr), Result::Unknown);
         EXPECT_EQ(s.stats().get("sat_calls"), 2u);
         EXPECT_EQ(s.stats().get("budget_exhausted"), 2u);
-        if constexpr (querylog::kEnabled) {
-            const querylog::Drained d = querylog::drainThread();
-            ASSERT_EQ(d.records.size(), 2u);
-            EXPECT_EQ(d.records[1].retry, 1u);
-            EXPECT_EQ(d.records[1].result, static_cast<int>(Result::Unknown));
-        }
+        const querylog::Drained d = querylog::drainThread();
+        ASSERT_EQ(d.records.size(), 2u);
+        EXPECT_EQ(d.records[1].retry, 1u);
+        EXPECT_EQ(d.records[1].result, static_cast<int>(Result::Unknown));
     }
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the symbolic executor: forking at control branches, path
- * condition consistency, searcher orderings, and the key soundness property
- * that for any leaf and any model of its path condition, the leaf's
- * next-state terms agree with one concrete simulation step of the design.
+ * condition consistency, searcher orderings, lowering without decisions,
+ * and the key soundness property that for any leaf and any model of its
+ * path condition, the leaf's next-state terms agree with one concrete
+ * simulation step of the design.
  */
 
 #include <gtest/gtest.h>
@@ -147,6 +148,19 @@ TEST_F(ToyExplore, MaxLeavesLimitStops)
                                 });
     EXPECT_FALSE(completed);
     EXPECT_EQ(leaves, 1);
+}
+
+TEST_F(ToyExplore, LoweringWithoutDecisionsSuspendsAtBranch)
+{
+    // `{}` selects no decision map at all, so nothing dangles once this
+    // statement ends: the op decode's first control branch suspends the
+    // lowering and is reported as pending.
+    BoundState bs = bindCycle(d, tm, {d.signalIdOf("acc")}, {}, "c0_");
+    Lowering lowering(d, tm, bs.binding, {});
+    const rtl::ExprRef next = d.signal(d.signalIdOf("acc")).def;
+    EXPECT_FALSE(lowering.lower(next).has_value());
+    EXPECT_NE(lowering.pending().ite, rtl::NoExpr);
+    EXPECT_NE(lowering.pending().cond, smt::NoTerm);
 }
 
 TEST(Searcher, BfsIsFifo)

@@ -4,7 +4,7 @@
  * validity (parsed back with the in-tree JSON parser), the
  * zero-allocation guarantee when tracing is disabled, buffer-cap
  * accounting, string interning, and fold correctness (total vs. self
- * time) including the file round-trip.
+ * time, instant counts) including the file round-trip.
  */
 
 #include <atomic>
@@ -336,6 +336,40 @@ TEST_F(TraceTest, FoldKeepsTracksIndependent)
     EXPECT_EQ(report.tracks, 2);
 }
 
+TEST_F(TraceTest, FoldCountsInstantsWithoutTime)
+{
+    trace::TrackEvents track;
+    track.tid = 1;
+    trace::Event refute, stitch, sample;
+    refute.name = "bse.refute";
+    refute.phase = 'i';
+    refute.startUs = 20;
+    stitch.name = "bse.stitch";
+    stitch.phase = 'i';
+    stitch.startUs = 120; // past every span: must not widen the extent
+    sample.name = "queue";
+    sample.phase = 'C';
+    sample.startUs = 30;
+    track.events = {span("A", 0, 100), refute, span("B", 10, 30), refute,
+                    stitch, sample};
+    const trace::FoldReport report = trace::foldTracks({track});
+
+    const trace::FoldRow *r = report.find("bse.refute");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->count, 2u);
+    EXPECT_EQ(r->totalUs, 0u);
+    EXPECT_EQ(r->selfUs, 0u);
+    ASSERT_NE(report.find("bse.stitch"), nullptr);
+    EXPECT_EQ(report.find("bse.stitch")->count, 1u);
+    EXPECT_EQ(report.find("queue"), nullptr); // counters stay out
+    // Spans fold as before: instants take no time from them.
+    EXPECT_EQ(report.spanCount, 2u);
+    EXPECT_EQ(report.wallUs, 100u);
+    EXPECT_EQ(report.find("A")->selfUs, 70u);
+    EXPECT_EQ(report.rows.size(), 4u);
+    EXPECT_EQ(report.rows.front().name, "A");
+}
+
 TEST_F(TraceTest, TraceFileRoundTripsThroughFold)
 {
     trace::setEnabled(true);
@@ -363,6 +397,48 @@ TEST_F(TraceTest, TraceFileRoundTripsThroughFold)
         EXPECT_EQ(folded.rows[i].selfUs, live.rows[i].selfUs);
     }
     std::remove(path.c_str());
+}
+
+TEST_F(TraceTest, InstantsSurviveTheTraceFileRoundTrip)
+{
+    trace::setEnabled(true);
+    {
+        trace::Span search("roundtrip.search", "test");
+        trace::instant("roundtrip.refute", "test");
+        trace::instant("roundtrip.refute", "test");
+    }
+    trace::setEnabled(false);
+    const trace::FoldReport live = trace::foldLive();
+
+    const std::string path =
+        ::testing::TempDir() + "coppelia_test_instants.json";
+    ASSERT_TRUE(trace::writeChromeTraceFile(path));
+    std::vector<trace::TrackEvents> loaded;
+    std::string error;
+    ASSERT_TRUE(trace::loadChromeTraceFile(path, &loaded, &error)) << error;
+    std::remove(path.c_str());
+
+    std::size_t instants = 0;
+    for (const trace::TrackEvents &t : loaded) {
+        for (const trace::Event &ev : t.events) {
+            if (ev.phase == 'i') {
+                ++instants;
+                EXPECT_STREQ(ev.name, "roundtrip.refute");
+                EXPECT_EQ(ev.durUs, 0u);
+            }
+        }
+    }
+    EXPECT_EQ(instants, 2u);
+
+    const trace::FoldReport folded = trace::foldTracks(loaded);
+    const trace::FoldRow *live_row = live.find("roundtrip.refute");
+    const trace::FoldRow *row = folded.find("roundtrip.refute");
+    ASSERT_NE(live_row, nullptr);
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->count, 2u);
+    EXPECT_EQ(live_row->count, 2u);
+    EXPECT_EQ(row->totalUs, 0u);
+    EXPECT_EQ(folded.spanCount, live.spanCount);
 }
 
 TEST_F(TraceTest, LoadReportsMissingAndMalformedFiles)
