@@ -73,8 +73,8 @@ main()
                     cpu::or1k::mor1kxAssertions(m).size(),
                     cpu::riscv::ri5cyAssertions(r).size());
     }
-    std::printf("\nOrchestration: %d workers, %.1fs wall, %d attempts\n",
+    std::printf("\nOrchestration: %d workers, %.1fs wall, %zu jobs\n",
                 result.scheduler.workers, result.scheduler.wallSeconds,
-                result.scheduler.attemptsRun);
+                result.records.size());
     return 0;
 }

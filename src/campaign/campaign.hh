@@ -5,6 +5,10 @@
  * own design elaboration and solver), and collects records, aggregate
  * statistics, and scheduler accounting. This is the batch engine behind
  * the `coppelia-campaign` CLI and the Table II/VI benchmark harnesses.
+ *
+ * Each job runs once and leaves one record. A job whose search ran out
+ * of budget is recorded as completed with that outcome: the exploit and
+ * BMC searches read no seed, so running one again would replay it.
  */
 
 #ifndef COPPELIA_CAMPAIGN_CAMPAIGN_HH

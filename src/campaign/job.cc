@@ -23,7 +23,6 @@ jobStatusName(JobStatus s)
       case JobStatus::Completed: return "completed";
       case JobStatus::NoAssertion: return "no-assertion";
       case JobStatus::Cancelled: return "cancelled";
-      case JobStatus::Retryable: return "retryable";
     }
     return "?";
 }
@@ -32,7 +31,7 @@ std::uint64_t
 deriveJobSeed(std::uint64_t base, int index, int attempt)
 {
     // splitmix64 over (base, index, attempt): decorrelated streams per
-    // job, and a retry reshuffles the search rather than replaying it.
+    // job. Only the fuzzer's mutations read them.
     std::uint64_t x = base + 0x9e3779b97f4a7c15ull *
                                  (static_cast<std::uint64_t>(index) * 131ull +
                                   static_cast<std::uint64_t>(attempt) + 1ull);
@@ -158,10 +157,6 @@ runExploitJob(const CampaignSpec &spec, const JobSpec &job,
     out.stats = res.stats;
     if (cancel && cancel->cancelled())
         out.status = JobStatus::Cancelled;
-    else if (res.outcome == bse::Outcome::BudgetExhausted)
-        // The search died on its feedback/time budget without a verdict;
-        // a reseeded retry explores a different frontier order.
-        out.status = JobStatus::Retryable;
     return out;
 }
 

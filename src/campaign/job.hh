@@ -27,18 +27,18 @@
 namespace coppelia::campaign
 {
 
-/** How a job attempt ended, from the scheduler's point of view. */
+/** How a job ran. What it found is in the outcome and found fields: a
+ *  search that ran out of budget still completed. */
 enum class JobStatus
 {
     Completed,   ///< ran to its own conclusion (found or exhausted)
     NoAssertion, ///< the bug has no assertion on this core; nothing to run
-    Cancelled,   ///< the watchdog cancelled the attempt past its deadline
-    Retryable,   ///< search/solver budget died; worth a reseeded retry
+    Cancelled,   ///< the watchdog cancelled the job past its deadline
 };
 
 const char *jobStatusName(JobStatus s);
 
-/** The measured outcome of one job (final attempt). */
+/** The measured outcome of one job. */
 struct JobResult
 {
     JobStatus status = JobStatus::Completed;
@@ -89,18 +89,19 @@ struct JobResult
 };
 
 /**
- * Run one job attempt. @p seed parameterizes every random choice the
- * search makes (the explorer's frontier shuffling); the same (spec, job,
- * seed) triple reproduces the same result. @p cancel is the scheduler's
- * cooperative cancellation token (may be null).
+ * Run one job. Only fuzz jobs read @p seed (it drives the fuzzer's
+ * mutations); exploit and BMC jobs give the same result at every seed.
+ * The same (spec, job, seed) triple reproduces the same result.
+ * @p cancel is the scheduler's cancellation token (may be null); only
+ * fuzz jobs poll it.
  */
 JobResult runJob(const CampaignSpec &spec, const JobSpec &job,
                  std::uint64_t seed, const CancelToken *cancel);
 
 /**
- * The seed for job @p index at retry @p attempt, derived from the
- * campaign base seed with splitmix64 so streams are decorrelated and a
- * retry explores differently than the attempt that exhausted its budget.
+ * The seed for job @p index, derived from the campaign base seed with
+ * splitmix64 so jobs get decorrelated streams. The campaign passes
+ * @p attempt 0; only fuzz jobs read the seed.
  */
 std::uint64_t deriveJobSeed(std::uint64_t base, int index, int attempt);
 

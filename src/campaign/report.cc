@@ -103,8 +103,8 @@ tdr(const std::string &s)
 }
 
 /** Sum of every querylog meta line's total_wall_us for one job: covers
- *  all recorded queries of all attempts, dropped ones included, so it
- *  is the number that agrees with the cumulative solve_us metric. */
+ *  all recorded queries, dropped ones included, so it is the number
+ *  that agrees with the cumulative solve_us metric. */
 double
 querylogWallUs(const JobForensics &job)
 {

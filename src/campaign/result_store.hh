@@ -1,7 +1,7 @@
 /**
  * @file
  * Thread-safe collection point for finished campaign jobs. Workers push
- * one record per job (final attempt); the store appends it under a lock,
+ * one record per job; the store appends it under a lock,
  * merges the job's solver statistics into the campaign aggregate, and —
  * when a telemetry sink is attached — streams the record out as one JSONL
  * line immediately, so a killed campaign still leaves a complete log of
@@ -31,8 +31,7 @@ struct JobRecord
     /** Simulation substrate the campaign requested for the job's
      *  concrete replay/lockstep execution. */
     rtl::SimBackend simBackend = rtl::SimBackend::Interpret;
-    std::uint64_t seed = 0; ///< seed of the final attempt
-    int attempts = 1;       ///< 1 + retries actually taken
+    std::uint64_t seed = 0; ///< derived seed (only fuzz jobs read it)
     int workerId = 0;
     JobResult result;
 };

@@ -16,11 +16,9 @@ namespace
 struct SchedulerMetrics
 {
     metrics::Counter *tasksCompleted = metrics::counter(
-        "scheduler_tasks_completed", "tasks finally disposed");
-    metrics::Counter *retries = metrics::counter(
-        "scheduler_retries", "task attempts re-queued for retry");
+        "scheduler_tasks_completed", "tasks finished");
     metrics::Counter *timeouts = metrics::counter(
-        "scheduler_timeouts", "attempts cancelled by the watchdog");
+        "scheduler_timeouts", "tasks cancelled by the watchdog");
     metrics::Counter *stallWarnings = metrics::counter(
         "scheduler_stall_warnings",
         "stall warnings logged on stale task heartbeats");
@@ -69,37 +67,34 @@ bool
 Scheduler::steal(int thief_id, QueuedTask *out)
 {
     // Steal from the front of the longest victim queue (oldest task of
-    // the most loaded worker) to keep the load spread.
+    // the most loaded worker) to keep the load spread. A victim drained
+    // between the scan and the pop sends the thief back to the scan;
+    // nothing is queued after the deal, so false means every other deque
+    // is empty for good.
     const int n = static_cast<int>(queues_.size());
-    int victim = -1;
-    std::size_t best = 0;
-    for (int i = 0; i < n; ++i) {
-        if (i == thief_id)
-            continue;
-        WorkerQueue &wq = *queues_[static_cast<std::size_t>(i)];
-        std::lock_guard<std::mutex> lock(wq.mu);
-        if (wq.q.size() > best) {
-            best = wq.q.size();
-            victim = i;
+    while (true) {
+        int victim = -1;
+        std::size_t best = 0;
+        for (int i = 0; i < n; ++i) {
+            if (i == thief_id)
+                continue;
+            WorkerQueue &wq = *queues_[static_cast<std::size_t>(i)];
+            std::lock_guard<std::mutex> lock(wq.mu);
+            if (wq.q.size() > best) {
+                best = wq.q.size();
+                victim = i;
+            }
         }
+        if (victim < 0)
+            return false;
+        WorkerQueue &wq = *queues_[static_cast<std::size_t>(victim)];
+        std::lock_guard<std::mutex> lock(wq.mu);
+        if (wq.q.empty())
+            continue;
+        *out = wq.q.front();
+        wq.q.pop_front();
+        return true;
     }
-    if (victim < 0)
-        return false;
-    WorkerQueue &wq = *queues_[static_cast<std::size_t>(victim)];
-    std::lock_guard<std::mutex> lock(wq.mu);
-    if (wq.q.empty())
-        return false;
-    *out = wq.q.front();
-    wq.q.pop_front();
-    return true;
-}
-
-void
-Scheduler::requeue(QueuedTask task)
-{
-    WorkerQueue &wq = *queues_[static_cast<std::size_t>(task.homeWorker)];
-    std::lock_guard<std::mutex> lock(wq.mu);
-    wq.q.push_back(task);
 }
 
 void
@@ -118,7 +113,6 @@ Scheduler::runOne(int worker_id, QueuedTask qt)
         slot.token = &token;
         slot.timedOut = false;
         slot.taskId = qt.id;
-        slot.attempt = qt.attempt;
         slot.startUs = metrics::nowUs();
         slot.stallWarned = false;
         slot.heartbeat = heartbeat;
@@ -133,15 +127,13 @@ Scheduler::runOne(int worker_id, QueuedTask qt)
 
     TaskContext ctx;
     ctx.taskId = qt.id;
-    ctx.attempt = qt.attempt;
     ctx.workerId = worker_id;
     ctx.cancel = &token;
-    TaskDisposition disp;
     {
         trace::Span task_span("scheduler.task", "scheduler");
         if (trace::enabled() && worker_id != qt.homeWorker)
             trace::instant("scheduler.steal", "scheduler");
-        disp = task.fn(ctx);
+        task.fn(ctx);
     }
 
     bool timed_out;
@@ -157,41 +149,17 @@ Scheduler::runOne(int worker_id, QueuedTask qt)
         slot.heartbeat = nullptr;
     }
 
-    bool finished = true;
     {
         std::lock_guard<std::mutex> lock(reportMu_);
-        ++report_.attemptsRun;
         if (timed_out)
             ++report_.timeouts;
         if (worker_id != qt.homeWorker)
             ++report_.steals;
-        if (disp == TaskDisposition::Retry) {
-            if (qt.attempt < opts_.maxRetries) {
-                ++report_.retriesIssued;
-                finished = false;
-            } else {
-                ++report_.retriesExhausted;
-            }
-        }
-    }
-
-    if (!finished) {
-        poolMetrics().retries->inc();
-        warn("scheduler: job '", task.label, "' (task ", qt.id,
-             ", worker ", worker_id, ") retrying after ",
-             Timer::formatSeconds(elapsed), ": attempt ", qt.attempt + 2,
-             "/", opts_.maxRetries + 1,
-             timed_out ? " (previous attempt timed out)" : "");
-        // Re-queue on the executing worker: it is idle right now and the
-        // retry keeps any stolen task local from here on.
-        requeue(QueuedTask{qt.id, qt.attempt + 1, worker_id});
-        return;
     }
     if (timed_out) {
         poolMetrics().timeouts->inc();
         warn("scheduler: job '", task.label, "' (task ", qt.id,
-             ", worker ", worker_id, ", attempt ", qt.attempt + 1, "/",
-             opts_.maxRetries + 1, ") killed by watchdog after ",
+             ", worker ", worker_id, ") killed by watchdog after ",
              Timer::formatSeconds(elapsed));
     }
     poolMetrics().tasksCompleted->inc();
@@ -204,18 +172,9 @@ Scheduler::workerLoop(int worker_id)
     if (trace::enabled())
         trace::setThreadName("worker " + std::to_string(worker_id));
     trace::Span worker_span("scheduler.worker", "scheduler");
-    while (true) {
-        QueuedTask qt;
-        if (popLocal(worker_id, &qt) || steal(worker_id, &qt)) {
-            runOne(worker_id, qt);
-            continue;
-        }
-        if (pending_.load(std::memory_order_acquire) == 0)
-            return;
-        // Idle but the campaign is not drained: another worker may still
-        // spawn a retry. Nap briefly and re-scan.
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
+    QueuedTask qt{};
+    while (popLocal(worker_id, &qt) || steal(worker_id, &qt))
+        runOne(worker_id, qt);
 }
 
 void
@@ -241,7 +200,7 @@ Scheduler::watchdogLoop()
             }
             // Stall detection: the task's last progress signal is its
             // newest heartbeat, or the task start before any beat. A
-            // stale signal gets one structured warning per attempt —
+            // stale signal gets one structured warning per task —
             // the early tell that a search is wedged inside one solver
             // call, long before the deadline kill above fires.
             if (opts_.stallWarnSeconds > 0.0 && !slot.stallWarned &&
@@ -268,8 +227,8 @@ Scheduler::watchdogLoop()
                     const Task &task =
                         tasks_[static_cast<std::size_t>(slot.taskId)];
                     warn("scheduler: job '", task.label, "' (task ",
-                         slot.taskId, ", worker ", w, ", attempt ",
-                         slot.attempt + 1, ") stalled: no progress for ",
+                         slot.taskId, ", worker ", w,
+                         ") stalled: no progress for ",
                          Timer::formatSeconds(age), " since phase '",
                          phase, "' (",
                          Timer::formatSeconds(
@@ -337,12 +296,11 @@ Scheduler::runAll()
                                 label)});
         }
 
-        // Deal the initial matrix round-robin.
+        // Deal the matrix round-robin.
         for (std::size_t i = 0; i < tasks_.size(); ++i) {
-            queues_[i % static_cast<std::size_t>(workers)]->q.push_back(
-                QueuedTask{static_cast<int>(i), 0,
-                           static_cast<int>(i % static_cast<std::size_t>(
-                                                workers))});
+            const std::size_t home = i % static_cast<std::size_t>(workers);
+            queues_[home]->q.push_back(
+                QueuedTask{static_cast<int>(i), static_cast<int>(home)});
         }
     }
     pending_.store(static_cast<int>(tasks_.size()),
@@ -396,7 +354,6 @@ Scheduler::snapshotSlot(int worker, RunningSlot &slot) const
         return snap;
     snap.busy = true;
     snap.taskId = slot.taskId;
-    snap.attempt = slot.attempt;
     // tasks_ is immutable while runAll() is live, so the label read
     // needs no extra lock.
     snap.label = tasks_[static_cast<std::size_t>(slot.taskId)].label;

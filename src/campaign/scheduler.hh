@@ -1,22 +1,24 @@
 /**
  * @file
  * Worker thread pool with a work-stealing queue, per-task cancellation
- * and timeout enforcement, and bounded retry. The scheduler is generic —
- * tasks are closures — so the policy machinery (stealing, watchdog,
- * retry accounting) is testable with synthetic workloads independently of
- * the exploit-generation jobs the campaign layer submits.
+ * tokens and timeout enforcement. The scheduler is generic — tasks are
+ * closures — so the policy machinery (stealing, watchdog, stall
+ * warnings) is testable with synthetic workloads independently of the
+ * exploit-generation jobs the campaign layer submits. Every submitted
+ * task runs exactly once.
  *
  * Execution model:
- *  - Each worker owns a deque. Initial tasks are dealt round-robin;
- *    a worker pops from the back of its own deque and, when empty,
- *    steals from the front of the busiest victim's deque.
+ *  - Each worker owns a deque. Tasks are dealt round-robin; a worker
+ *    pops from the back of its own deque and, when empty, steals from
+ *    the front of the busiest victim's deque. Nothing is queued after
+ *    the deal, so a worker that finds its own deque and every victim's
+ *    empty exits.
  *  - Every running task gets a CancelToken. A watchdog thread scans the
- *    running set and cancels tasks past their deadline; tasks observe
- *    cancellation cooperatively (long-running engine searches also carry
- *    their own internal wall-clock limit as a second line of defence).
- *  - A task may report TaskDisposition::Retry; the scheduler re-queues it
- *    (on the reporting worker's deque) until its retry budget is spent,
- *    then records it as retries-exhausted and moves on.
+ *    running set and cancels tasks past their deadline. The token only
+ *    stops a task that polls it: of the campaign's jobs, fuzz jobs poll
+ *    it per execution and between hand-offs, while exploit and BMC jobs
+ *    stop on their own wall-clock limit and are labelled cancelled after
+ *    they return.
  */
 
 #ifndef COPPELIA_CAMPAIGN_SCHEDULER_HH
@@ -39,7 +41,7 @@
 namespace coppelia::campaign
 {
 
-/** Cooperative cancellation flag shared between a task and the watchdog. */
+/** Cancellation flag shared between a task and the watchdog. */
 class CancelToken
 {
   public:
@@ -49,7 +51,6 @@ class CancelToken
     {
         return cancelled_.load(std::memory_order_relaxed);
     }
-    void reset() { cancelled_.store(false, std::memory_order_relaxed); }
 
   private:
     std::atomic<bool> cancelled_{false};
@@ -59,25 +60,17 @@ class CancelToken
 struct TaskContext
 {
     int taskId = 0;   ///< submission index
-    int attempt = 0;  ///< 0 on the first run, +1 per retry
     int workerId = 0; ///< executing worker
     const CancelToken *cancel = nullptr;
 
     bool cancelled() const { return cancel && cancel->cancelled(); }
 };
 
-/** What a task reports back to the scheduler. */
-enum class TaskDisposition
-{
-    Done,  ///< finished (successfully or not); do not re-run
-    Retry, ///< transient resource failure; re-queue if budget remains
-};
-
 /** One schedulable unit. */
 struct Task
 {
-    std::function<TaskDisposition(const TaskContext &)> fn;
-    /** Per-attempt wall-clock budget; 0 disables the watchdog for it. */
+    std::function<void(const TaskContext &)> fn;
+    /** Wall-clock budget; 0 disables the watchdog for it. */
     double timeoutSeconds = 0.0;
     std::string label;
 };
@@ -87,8 +80,6 @@ struct SchedulerOptions
 {
     /** Worker threads; 0 = hardware concurrency (at least 1). */
     int workers = 0;
-    /** Retry budget per task (total attempts = 1 + maxRetries). */
-    int maxRetries = 0;
     /** Watchdog scan period. */
     double watchdogPeriodSeconds = 0.01;
     /** Log a structured stall warning when a running task's last
@@ -103,10 +94,7 @@ struct SchedulerReport
 {
     int workers = 0;
     int tasksSubmitted = 0;
-    int attemptsRun = 0;
-    int retriesIssued = 0;
-    int retriesExhausted = 0;
-    int timeouts = 0; ///< attempts cancelled by the watchdog
+    int timeouts = 0; ///< tasks cancelled by the watchdog
     int steals = 0;   ///< tasks executed by a worker that stole them
     double wallSeconds = 0.0;
 };
@@ -117,7 +105,6 @@ struct WorkerSnapshot
     int worker = 0;
     bool busy = false;
     int taskId = -1;
-    int attempt = 0;
     std::string label;
     double secondsInJob = 0.0;
     /** Latest heartbeat from the task (nullptr phase = none yet). */
@@ -148,7 +135,7 @@ class Scheduler
      *  Safe to call from any thread while runAll() is live. */
     std::size_t queuedTasks() const;
 
-    /** Tasks not yet finally disposed (queued + running + retries). */
+    /** Tasks not yet finished (queued + running). */
     int pendingTasks() const;
 
     /** One snapshot per worker slot; safe concurrently with runAll(). */
@@ -158,8 +145,7 @@ class Scheduler
     struct QueuedTask
     {
         int id;
-        int attempt;
-        int homeWorker; ///< deque the task was queued on
+        int homeWorker; ///< deque the task was dealt to
     };
 
     struct WorkerQueue
@@ -177,7 +163,6 @@ class Scheduler
         bool timedOut = false;
         // Live-monitoring state for the task currently in the slot.
         int taskId = -1;
-        int attempt = 0;
         std::uint64_t startUs = 0; ///< metrics::nowUs() at task start
         bool stallWarned = false;
         /** The worker thread's heartbeat slot (tasks publish progress
@@ -190,7 +175,6 @@ class Scheduler
     void updateWorkerMetrics();
     bool popLocal(int worker_id, QueuedTask *out);
     bool steal(int thief_id, QueuedTask *out);
-    void requeue(QueuedTask task);
     void runOne(int worker_id, QueuedTask task);
     WorkerSnapshot snapshotSlot(int worker, RunningSlot &slot) const;
 
@@ -199,7 +183,7 @@ class Scheduler
 
     std::vector<std::unique_ptr<WorkerQueue>> queues_;
     std::vector<std::unique_ptr<RunningSlot>> running_;
-    std::atomic<int> pending_{0}; ///< tasks not yet finally disposed
+    std::atomic<int> pending_{0}; ///< tasks not yet finished
     std::atomic<bool> shutdown_{false};
 
     /** Guards the queues_/running_ vectors themselves (rebuilt at the

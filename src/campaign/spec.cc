@@ -158,8 +158,6 @@ parseSpec(std::istream &in, const std::string &origin)
             spec.maxFeedbackRounds = intWord("value");
         } else if (key == "bmc-bound") {
             spec.bmcMaxBound = intWord("value");
-        } else if (key == "retries") {
-            spec.maxRetries = intWord("count");
         } else if (key == "incremental") {
             spec.incrementalSolver = onOff();
         } else if (key == "conflict-budget") {

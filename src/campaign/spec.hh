@@ -4,8 +4,8 @@
  * independent exploit-generation (and baseline model-checking) jobs — one
  * per (processor × bug × assertion) triple, the shape of the paper's
  * Tables II and VI — plus the execution policy: worker count, per-job
- * time/iteration budgets, bounded retry, and the base seed from which
- * every job derives its own deterministic RNG stream.
+ * time/iteration budgets, and the base seed from which every job derives
+ * its own deterministic RNG stream (only fuzz jobs read it).
  *
  * Specs can be built programmatically (the benchmark harnesses do) or
  * loaded from a small line-oriented text format (the CLI does):
@@ -16,7 +16,6 @@
  *     seed        42
  *     time-limit  90
  *     bound       6
- *     retries     1
  *     matrix      or1200
  *     matrix      or1200 bmc-ifv
  *     matrix      or1200 bmc-ebmc
@@ -84,7 +83,9 @@ struct CampaignSpec
     std::string name = "campaign";
     /** Worker threads; 0 = hardware concurrency. */
     int workers = 0;
-    /** Base seed; job i at attempt a derives seed splitmix(seed, i, a). */
+    /** Base seed; job i derives seed splitmix(seed, i, 0). Only fuzz
+     *  jobs read it: exploit and BMC searches give the same result at
+     *  every seed. */
     std::uint64_t seed = 0x434f5050454c4941ull;
     /** Default per-job wall-clock budget in seconds (0 = unlimited). */
     double jobTimeLimitSeconds = 90.0;
@@ -93,8 +94,6 @@ struct CampaignSpec
     int maxFeedbackRounds = 24;
     /** BMC baseline unrolling bound (EbmcLike). */
     int bmcMaxBound = 4;
-    /** Re-queue attempts for jobs that exhaust solver/search budgets. */
-    int maxRetries = 1;
     /** Incremental SAT backend for every job's solver; `incremental off`
      *  (or the CLI's `--no-incremental`) is the fresh-instance ablation.
      *  This and the two solver fields after it take their defaults

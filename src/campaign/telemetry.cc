@@ -22,8 +22,8 @@ jsonlSchema()
         {"processor", "processor the design was elaborated for"},
         {"bug", "bug id from the registry (bNN)"},
         {"assertion", "assertion id actually targeted"},
-        {"status", "scheduler-level status: completed, no-assertion, "
-                   "cancelled, or retryable"},
+        {"status", "how the job ran: completed, no-assertion, or "
+                   "cancelled (what it found is in outcome/found)"},
         {"sim_backend", "requested concrete-simulation substrate: "
                         "interpret or compiled (compiled may fall back "
                         "to interpret with a warning unless the campaign "
@@ -54,9 +54,9 @@ jsonlSchema()
          "minimized replayable streams, one array of hex instruction "
          "words per divergence (fuzz kind only)"},
         {"seconds", "end-to-end job wall-clock seconds"},
-        {"attempts", "1 + reseeded retries taken"},
-        {"worker", "worker thread that ran the final attempt"},
-        {"seed", "RNG seed of the final attempt (decimal string)"},
+        {"worker", "worker thread that ran the job"},
+        {"seed", "the job's derived RNG seed (decimal string); only "
+                 "fuzz jobs read it"},
         {"trace_events", "trace events emitted by this job (0 when "
                          "tracing is disabled)"},
         {"queries_jsonl", "per-job solver query-log artifact path "
@@ -119,7 +119,6 @@ recordToJson(const JobRecord &record)
         v.set("bmc_depth", json::Value::number(r.bmcDepth));
     }
     v.set("seconds", json::Value::number(r.seconds));
-    v.set("attempts", json::Value::number(record.attempts));
     v.set("worker", json::Value::number(record.workerId));
     // As a string: a 64-bit seed does not round-trip through a double.
     v.set("seed", json::Value::string(std::to_string(record.seed)));
@@ -336,10 +335,8 @@ writeSummary(std::ostream &out, const CampaignSpec &spec,
             << fmt1(report.wallSeconds) << "s wall ("
             << fmt1(cpu_seconds / report.wallSeconds) << "x)\n";
     }
-    out << "scheduler: " << report.attemptsRun << " attempts, "
-        << report.retriesIssued << " retries ("
-        << report.retriesExhausted << " exhausted), " << report.timeouts
-        << " timeouts, " << report.steals << " steals\n";
+    out << "scheduler: " << report.timeouts << " timeouts, "
+        << report.steals << " steals\n";
 }
 
 } // namespace coppelia::campaign

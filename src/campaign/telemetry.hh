@@ -6,7 +6,7 @@
  *   {"job":0,"kind":"exploit","processor":"OR1200","bug":"b01",
  *    "assertion":"a01_...","status":"completed","outcome":"found",
  *    "found":true,"replayable":true,"trigger_instructions":2,
- *    "iterations":5,"seconds":0.41,"attempts":1,"worker":3,
+ *    "iterations":5,"seconds":0.41,"worker":3,
  *    "seed":123456789,"stats":{"solver.queries":17,...}}
  *
  * The summary reproduces the layout of the paper's Tables II/VI: one row
@@ -43,11 +43,14 @@ namespace coppelia::campaign
  *      recorder files when the campaign ran with an artifact directory
  *      (absent otherwise); `stats` gains the querylog and search
  *      recorder accounting counters
+ *   5  removes `attempts`: every job runs once, and the `retryable`
+ *      status is gone (an exploit search that ran out of budget is
+ *      `completed` with outcome `budget-exhausted`)
  *
  * Bump it whenever a documented field changes meaning, is removed, or
  * is renamed; adding a field is backward compatible and does not bump.
  */
-constexpr int kJsonlSchemaVersion = 4;
+constexpr int kJsonlSchemaVersion = 5;
 
 /**
  * One documented top-level field of the JSONL record. The schema is a

@@ -3,8 +3,9 @@
  * `coppelia-campaign` — the batch exploit-generation driver. Loads a
  * declarative campaign spec (or builds a matrix from flags), executes
  * the (processor × bug × kind) job matrix on the work-stealing worker
- * pool, and writes `campaign.jsonl` (one telemetry record per job) plus
- * `summary.txt` (the Table II/VI-layout digest) to the output directory.
+ * pool, each job once, and writes `campaign.jsonl` (one telemetry record
+ * per job) plus `summary.txt` (the Table II/VI-layout digest) to the
+ * output directory.
  *
  *   coppelia-campaign --spec table2.campaign --workers 4 --out results/
  *   coppelia-campaign --matrix or1200 --baselines --time-limit 60
@@ -51,9 +52,8 @@ usage(const char *argv0)
         "  --fuzz-stream N    maximum fuzzed stream length\n"
         "  --fuzz-handoffs N  concolic hand-off attempts per fuzz job\n"
         "  --workers N        worker threads (default: spec / all cores)\n"
-        "  --seed S           base RNG seed\n"
+        "  --seed S           base RNG seed (read by fuzz jobs only)\n"
         "  --time-limit SEC   per-job wall-clock budget\n"
-        "  --retries N        retry budget for exhausted searches\n"
         "  --no-incremental   fresh SAT instance per solver query (the\n"
         "                     incremental-backend ablation)\n"
         "  --conflict-budget N  per-query SAT conflict cap (default -1:\n"
@@ -107,7 +107,7 @@ main(int argc, char **argv)
 
     // Overrides are applied after the spec file loads, whatever the flag
     // order; -1/empty means "not set on the command line".
-    int workers = -1, retries = -1;
+    int workers = -1;
     double time_limit = -1.0;
     long long seed = -1;
     long long conflict_budget = -2; // -1 means "explicitly unlimited"
@@ -208,8 +208,6 @@ main(int argc, char **argv)
             seed = numeric(i, "--seed", to_ll);
         } else if (arg == "--time-limit") {
             time_limit = numeric(i, "--time-limit", to_double);
-        } else if (arg == "--retries") {
-            retries = numeric(i, "--retries", to_int);
         } else if (arg == "--no-incremental") {
             no_incremental = true;
         } else if (arg == "--no-minimize") {
@@ -268,8 +266,6 @@ main(int argc, char **argv)
 
     if (workers >= 0)
         spec.workers = workers;
-    if (retries >= 0)
-        spec.maxRetries = retries;
     if (time_limit >= 0.0)
         spec.jobTimeLimitSeconds = time_limit;
     if (seed >= 0)

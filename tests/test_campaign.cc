@@ -1,10 +1,11 @@
 /**
  * @file
  * Campaign orchestrator tests: the generic scheduler (work distribution,
- * stealing, watchdog timeout, bounded retry), spec parsing and matrix
- * expansion, the JSON utility, JSONL telemetry round-tripping, and —
- * with real exploit-generation jobs — parallel-vs-serial result parity
- * and seed-for-seed reproducibility.
+ * stealing, watchdog timeout), spec parsing and matrix expansion, the
+ * JSON utility, JSONL telemetry round-tripping, and — with real
+ * exploit-generation jobs — parallel-vs-serial result parity, seed-for-
+ * seed reproducibility, seed independence of the exploit search, and
+ * one run per job.
  *
  * The worker count comes from COPPELIA_CAMPAIGN_WORKERS when set (the
  * ctest entry pins it to 4), defaulting to 4.
@@ -12,9 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,6 +31,7 @@
 #include "campaign/campaign.hh"
 #include "campaign/scheduler.hh"
 #include "campaign/spec.hh"
+#include "metrics/metrics.hh"
 #include "solver/solver.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -53,6 +59,7 @@ TEST(Scheduler, RunsEveryTaskAcrossWorkers)
     campaign::Scheduler sched(opts);
 
     std::vector<std::atomic<int>> results(n_tasks);
+    std::vector<std::atomic<int>> runs(n_tasks);
     std::set<int> worker_ids;
     std::mutex mu;
     for (int i = 0; i < n_tasks; ++i) {
@@ -62,21 +69,22 @@ TEST(Scheduler, RunsEveryTaskAcrossWorkers)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(i % 7));
             results[static_cast<std::size_t>(i)] = i * i;
+            ++runs[static_cast<std::size_t>(i)];
             std::lock_guard<std::mutex> lock(mu);
             worker_ids.insert(ctx.workerId);
-            return campaign::TaskDisposition::Done;
         };
         sched.add(std::move(t));
     }
     campaign::SchedulerReport report = sched.runAll();
 
     EXPECT_EQ(report.tasksSubmitted, n_tasks);
-    EXPECT_EQ(report.attemptsRun, n_tasks);
     EXPECT_EQ(report.workers, testWorkers());
     EXPECT_EQ(report.timeouts, 0);
-    EXPECT_EQ(report.retriesIssued, 0);
-    for (int i = 0; i < n_tasks; ++i)
+    EXPECT_EQ(sched.pendingTasks(), 0);
+    for (int i = 0; i < n_tasks; ++i) {
         EXPECT_EQ(results[static_cast<std::size_t>(i)].load(), i * i);
+        EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << i;
+    }
     // With 40 uneven tasks on >=2 workers, more than one worker ran.
     if (testWorkers() > 1) {
         EXPECT_GT(worker_ids.size(), 1u);
@@ -103,57 +111,19 @@ TEST(Scheduler, WatchdogCancelsPastDeadline)
                std::chrono::steady_clock::now() < hard_stop)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         long_job_observed_cancel = ctx.cancelled();
-        return campaign::TaskDisposition::Done;
     };
     sched.add(std::move(slow));
 
+    std::atomic<int> quick_runs{0};
     campaign::Task quick;
     quick.timeoutSeconds = 30.0;
-    quick.fn = [](const campaign::TaskContext &) {
-        return campaign::TaskDisposition::Done;
-    };
+    quick.fn = [&](const campaign::TaskContext &) { ++quick_runs; };
     sched.add(std::move(quick));
 
     campaign::SchedulerReport report = sched.runAll();
     EXPECT_TRUE(long_job_observed_cancel.load());
     EXPECT_EQ(report.timeouts, 1);
-    EXPECT_EQ(report.attemptsRun, 2);
-}
-
-TEST(Scheduler, RetryRequeuesExactlyOnce)
-{
-    campaign::SchedulerOptions opts;
-    opts.workers = 2;
-    opts.maxRetries = 1;
-    campaign::Scheduler sched(opts);
-
-    // Always-failing task: one retry is granted, then the budget is
-    // spent and the scheduler moves on.
-    std::atomic<int> hopeless_attempts{0};
-    campaign::Task hopeless;
-    hopeless.fn = [&](const campaign::TaskContext &ctx) {
-        ++hopeless_attempts;
-        EXPECT_LE(ctx.attempt, 1);
-        return campaign::TaskDisposition::Retry;
-    };
-    sched.add(std::move(hopeless));
-
-    // Flaky task: fails once, succeeds on the retry.
-    std::atomic<int> flaky_attempts{0};
-    campaign::Task flaky;
-    flaky.fn = [&](const campaign::TaskContext &ctx) {
-        ++flaky_attempts;
-        return ctx.attempt == 0 ? campaign::TaskDisposition::Retry
-                                : campaign::TaskDisposition::Done;
-    };
-    sched.add(std::move(flaky));
-
-    campaign::SchedulerReport report = sched.runAll();
-    EXPECT_EQ(hopeless_attempts.load(), 2);
-    EXPECT_EQ(flaky_attempts.load(), 2);
-    EXPECT_EQ(report.attemptsRun, 4);
-    EXPECT_EQ(report.retriesIssued, 2);
-    EXPECT_EQ(report.retriesExhausted, 1);
+    EXPECT_EQ(quick_runs.load(), 1);
 }
 
 // --- JSON utility ------------------------------------------------------
@@ -206,7 +176,6 @@ workers    3
 seed       99
 time-limit 45
 bound      5
-retries    2
 matrix     or1200
 matrix     or1200 bmc-ifv
 job        ri5cy b33
@@ -218,7 +187,6 @@ job        mor1kx b32 bmc-ebmc
     EXPECT_EQ(spec.seed, 99u);
     EXPECT_DOUBLE_EQ(spec.jobTimeLimitSeconds, 45.0);
     EXPECT_EQ(spec.bound, 5);
-    EXPECT_EQ(spec.maxRetries, 2);
 
     const std::size_t in_scope =
         cpu::bugsFor(cpu::Processor::OR1200, false).size();
@@ -259,11 +227,12 @@ TEST(CampaignSpec, OnOffDirectivesAcceptOnlyOnAndOff)
                 "expected on or off");
 }
 
-TEST(CampaignSpec, RemovedSolverDirectivesAreUnknown)
+TEST(CampaignSpec, RemovedDirectivesAreUnknown)
 {
+    // The deleted solver settings, and `retries`: every job runs once.
     for (const char *line : {"rewrite on\n", "preprocess on\n",
                              "solver-threads 4\n", "portfolio on\n",
-                             "cube-budget 0\n"}) {
+                             "cube-budget 0\n", "retries 1\n"}) {
         SCOPED_TRACE(line);
         std::istringstream in(line);
         EXPECT_EXIT(campaign::parseSpec(in), ::testing::ExitedWithCode(1),
@@ -427,6 +396,114 @@ TEST(Campaign, SameSeedReproducesJobForJob)
     }
 }
 
+/** A job's stats without its wall-clock counters (the `*_us` keys). */
+std::map<std::string, std::uint64_t>
+workStats(const StatGroup &stats)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const auto &[name, count] : stats.all()) {
+        if (name.size() < 3 || name.compare(name.size() - 3, 3, "_us") != 0)
+            out[name] = count;
+    }
+    return out;
+}
+
+TEST(Campaign, ExploitAndBmcResultsDoNotDependOnTheSeed)
+{
+    // The exploit search and BMC read no seed (only the fuzzer's
+    // mutations do), so two base seeds give the same work job for job.
+    // This is why a job is never rerun: a rerun would replay itself.
+    campaign::CampaignSpec spec = smallRealSpec();
+    campaign::JobSpec bmc;
+    bmc.kind = campaign::JobKind::BmcEbmc;
+    bmc.bug = cpu::BugId::b03;
+    spec.jobs.push_back(bmc);
+
+    spec.seed = 1;
+    const campaign::CampaignResult a = campaign::runCampaign(spec);
+    spec.seed = 777;
+    const campaign::CampaignResult b = campaign::runCampaign(spec);
+    ASSERT_EQ(a.records.size(), spec.jobs.size());
+    ASSERT_EQ(b.records.size(), spec.jobs.size());
+    for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
+        SCOPED_TRACE(i);
+        const campaign::JobRecord &ra = a.records[i];
+        const campaign::JobRecord &rb = b.records[i];
+        EXPECT_NE(ra.seed, rb.seed);
+        EXPECT_EQ(ra.result.status, rb.result.status);
+        EXPECT_EQ(ra.result.outcome, rb.result.outcome);
+        EXPECT_EQ(ra.result.found, rb.result.found);
+        EXPECT_EQ(ra.result.replayable, rb.result.replayable);
+        EXPECT_EQ(ra.result.iterations, rb.result.iterations);
+        EXPECT_EQ(ra.result.triggerInstructions,
+                  rb.result.triggerInstructions);
+        EXPECT_EQ(ra.result.bmcDepth, rb.result.bmcDepth);
+        EXPECT_EQ(workStats(ra.result.stats), workStats(rb.result.stats));
+    }
+    EXPECT_TRUE(a.records.back().result.found);
+}
+
+/** Lines of a JSONL artifact that carry a "meta" key. */
+int
+metaLines(const std::string &path)
+{
+    std::ifstream in(path);
+    int n = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        const json::Value v = json::parse(line);
+        n += v.isObject() && v.find("meta") != nullptr;
+    }
+    return n;
+}
+
+TEST(Campaign, BudgetExhaustedJobRunsOnce)
+{
+    // At one conflict per query b28's search ends budget-exhausted in
+    // well under a second. It is recorded once, as a completed job with
+    // that outcome, and its one run is all the solver work the process
+    // did: the registry agrees with the record.
+    metrics::zeroAllMetrics();
+    campaign::CampaignSpec spec;
+    spec.workers = 1;
+    spec.solverConflictBudget = 1;
+    spec.artifactDir = testing::TempDir() + "coppelia_runs_once";
+    std::filesystem::remove_all(spec.artifactDir);
+    campaign::JobSpec job;
+    job.bug = cpu::BugId::b28;
+    spec.jobs.push_back(job);
+
+    std::ostringstream jsonl;
+    const campaign::CampaignResult result =
+        campaign::runCampaign(spec, &jsonl);
+    ASSERT_EQ(result.records.size(), 1u);
+    const campaign::JobResult &r = result.records[0].result;
+    EXPECT_EQ(r.status, campaign::JobStatus::Completed);
+    EXPECT_EQ(r.outcome, bse::Outcome::BudgetExhausted);
+    EXPECT_FALSE(r.found);
+    EXPECT_EQ(metaLines(r.queriesArtifact), 1);
+    EXPECT_EQ(metaLines(r.searchArtifact), 1);
+    std::filesystem::remove_all(spec.artifactDir);
+
+    const std::string text = jsonl.str();
+    ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
+    std::string err;
+    const json::Value rec = json::parse(text.substr(0, text.find('\n')),
+                                        &err);
+    ASSERT_TRUE(rec.isObject()) << err;
+    EXPECT_EQ(rec.find("status")->asString(), "completed");
+    EXPECT_EQ(rec.find("outcome")->asString(), "budget-exhausted");
+    const json::Value *sat_calls =
+        rec.find("stats")->find("solver_sat_calls");
+    ASSERT_NE(sat_calls, nullptr);
+    EXPECT_GT(sat_calls->asInt(), 0);
+    EXPECT_EQ(metrics::counter("solver_sat_calls")->value(),
+              static_cast<std::uint64_t>(sat_calls->asInt()));
+    EXPECT_EQ(metrics::counter("bse_iterations")->value(),
+              static_cast<std::uint64_t>(rec.find("iterations")->asInt()));
+    EXPECT_EQ(metrics::counter("campaign_jobs_completed")->value(), 1u);
+}
+
 TEST(Campaign, TelemetryJsonlParsesBack)
 {
     campaign::CampaignSpec spec = smallRealSpec();
@@ -447,10 +524,10 @@ TEST(Campaign, TelemetryJsonlParsesBack)
         for (const char *key : {"job", "kind", "processor", "bug",
                                 "assertion", "status", "found",
                                 "replayable", "trigger_instructions",
-                                "seconds", "attempts", "worker", "seed",
-                                "stats"}) {
+                                "seconds", "worker", "seed", "stats"}) {
             EXPECT_NE(rec.find(key), nullptr) << key;
         }
+        EXPECT_EQ(rec.find("attempts"), nullptr);
         const int job = static_cast<int>(rec.find("job")->asInt());
         seen_jobs.insert(job);
 

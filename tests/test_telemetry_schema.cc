@@ -35,7 +35,6 @@ exploitRecord()
     rec.spec.bug = cpu::BugId::b01;
     rec.spec.assertionId = "a01_test";
     rec.seed = 0xdeadbeefcafef00dull;
-    rec.attempts = 2;
     rec.workerId = 3;
     rec.result.found = true;
     rec.result.replayable = true;
@@ -155,7 +154,7 @@ TEST(TelemetrySchema, SchemaVersionIsPinnedAndEmittedFirst)
     // it is a deliberate act (update this test alongside the documented
     // history in telemetry.hh), and every record carries it as the first
     // key so consumers can dispatch before reading anything else.
-    EXPECT_EQ(kJsonlSchemaVersion, 4);
+    EXPECT_EQ(kJsonlSchemaVersion, 5);
     EXPECT_TRUE(schemaKeys().count("schema_version"));
     EXPECT_EQ(jsonlSchema().front().key, std::string("schema_version"));
     for (const JobRecord &rec : {exploitRecord(), bmcRecord(), fuzzRecord()}) {
