@@ -100,8 +100,13 @@ checkAssertion(const rtl::Design &design,
             const rtl::Signal &s = design.signal(sig);
             if (s.kind != rtl::SignalKind::Input)
                 continue;
-            TermRef v = tm.mkVar(
-                "i" + std::to_string(depth) + "_" + s.name, s.width);
+            // Appended piecewise: GCC 12 flags `"i" + std::to_string(...)`
+            // with a false-positive -Wrestrict.
+            std::string name = "i";
+            name += std::to_string(depth);
+            name += '_';
+            name += s.name;
+            TermRef v = tm.mkVar(name, s.width);
             binding[sig] = v;
             ivars[sig] = v;
             if (opts.insnConstraint && s.name == "insn")

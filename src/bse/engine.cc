@@ -271,9 +271,12 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     auto makeLevel = [&](std::unordered_map<SignalId, std::uint64_t>
                              target) {
         Level level;
-        level.bound =
-            sym::bindCycle(design_, tm, sym_set, {},
-                           "i" + std::to_string(iteration_counter) + "_");
+        // Appended piecewise: GCC 12 flags `"i" + std::to_string(...)`
+        // with a false-positive -Wrestrict.
+        std::string prefix = "i";
+        prefix += std::to_string(iteration_counter);
+        prefix += '_';
+        level.bound = sym::bindCycle(design_, tm, sym_set, {}, prefix);
         level.targetState = std::move(target);
         return level;
     };

@@ -3,8 +3,26 @@
 namespace coppelia::fuzz
 {
 
+namespace
+{
+
+/** The condition of every control branch, in ExprRef order. */
+std::vector<rtl::ExprRef>
+branchConditions(const rtl::Design &design)
+{
+    std::vector<rtl::ExprRef> conds;
+    for (rtl::ExprRef ref = 0; ref < design.numExprs(); ++ref) {
+        if (design.isBranch(ref))
+            conds.push_back(design.expr(ref).args[0]);
+    }
+    return conds;
+}
+
+} // namespace
+
 CoverageMap::CoverageMap(const rtl::Design &design)
-    : design_(design), evaluator_(design)
+    : conds_(rtl::Schedule::ofRoots(design, branchConditions(design))),
+      slots_(conds_.numSlots(), 0)
 {
     std::uint32_t next = 0;
     for (rtl::SignalId sig = 0; sig < design.numSignals(); ++sig) {
@@ -14,12 +32,11 @@ CoverageMap::CoverageMap(const rtl::Design &design)
         regs_.push_back({sig, s.width, next});
         next += 2 * static_cast<std::uint32_t>(s.width);
     }
-    for (rtl::ExprRef ref = 0; ref < design.numExprs(); ++ref) {
-        if (!design.isBranch(ref))
-            continue;
-        branches_.push_back({design.expr(ref).args[0], next});
+    for (std::uint32_t slot : conds_.rootSlots()) {
+        branches_.push_back({slot, next});
         next += 2;
     }
+    conds_.loadConstants(slots_.data());
     totalPoints_ = next;
     prev_.assign(regs_.size(), 0);
     bits_.assign((totalPoints_ + 63) / 64, 0);
@@ -45,9 +62,8 @@ CoverageMap::mark(std::size_t index)
 void
 CoverageMap::syncState(const rtl::Simulator &sim)
 {
-    const std::vector<rtl::Value> &env = sim.env();
     for (std::size_t i = 0; i < regs_.size(); ++i)
-        prev_[i] = env[regs_[i].sig].bits();
+        prev_[i] = sim.word(regs_[i].sig);
 }
 
 void
@@ -60,13 +76,11 @@ CoverageMap::clear()
 void
 CoverageMap::onStep(const rtl::Simulator &sim)
 {
-    const std::vector<rtl::Value> &env = sim.env();
-
     // Toggle points: compare each register's latched value to the previous
     // cycle; bit b rising marks point base+2b, falling marks base+2b+1.
     for (std::size_t i = 0; i < regs_.size(); ++i) {
         const RegPoints &r = regs_[i];
-        const std::uint64_t now = env[r.sig].bits();
+        const std::uint64_t now = sim.word(r.sig);
         const std::uint64_t was = prev_[i];
         std::uint64_t changed = now ^ was;
         while (changed != 0) {
@@ -79,12 +93,12 @@ CoverageMap::onStep(const rtl::Simulator &sim)
     }
 
     // Branch points: evaluate every control-branch condition against the
-    // settled post-edge environment (one shared memo pass).
-    evaluator_.invalidate();
-    for (const BranchPoints &br : branches_) {
-        const bool taken = evaluator_.eval(br.cond, env).isTrue();
-        mark(br.base + (taken ? 0 : 1));
-    }
+    // settled post-edge state (one sweep over the words it reads).
+    for (rtl::SignalId sig : conds_.reads())
+        slots_[sig] = sim.word(sig);
+    conds_.settle(slots_.data());
+    for (const BranchPoints &br : branches_)
+        mark(br.base + (slots_[br.slot] != 0 ? 0 : 1));
 }
 
 } // namespace coppelia::fuzz

@@ -14,9 +14,10 @@
  *
  * The map attaches to a concrete rtl::Simulator as a StepObserver and
  * updates a flat bitmap on every cycle. The hot path is allocation-free
- * after the first observed step (unit-asserted): branch conditions are
- * evaluated with a persistent epoch-memoized ExprEvaluator and all
- * per-cycle state lives in preallocated vectors.
+ * (unit-asserted): it reads the simulator's raw signal words, and the
+ * branch conditions are one sweep of an rtl::Schedule built over them,
+ * the same straight-line evaluation the interpreter settles with, run
+ * on a preallocated slot array.
  */
 
 #ifndef COPPELIA_FUZZ_COVERAGE_HH
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "rtl/design.hh"
+#include "rtl/schedule.hh"
 #include "rtl/sim.hh"
 
 namespace coppelia::fuzz
@@ -70,20 +72,20 @@ class CoverageMap : public rtl::StepObserver
     };
     struct BranchPoints
     {
-        rtl::ExprRef cond;
+        std::uint32_t slot; ///< the condition's slot in conds_
         std::uint32_t base; ///< 2 points (seen true, seen false)
     };
 
     void mark(std::size_t index);
 
-    const rtl::Design &design_;
     std::vector<RegPoints> regs_;
     std::vector<BranchPoints> branches_;
     std::vector<std::uint64_t> prev_;  ///< last latched value per regs_ entry
     std::vector<std::uint64_t> bits_;  ///< hit bitmap, one bit per point
     std::size_t totalPoints_ = 0;
     std::size_t covered_ = 0;
-    rtl::ExprEvaluator evaluator_;
+    rtl::Schedule conds_;              ///< every branch condition
+    std::vector<std::uint64_t> slots_; ///< conds_'s state array
 };
 
 } // namespace coppelia::fuzz

@@ -1,9 +1,10 @@
 #include "rtl/compile/codegen.hh"
 
+#include <span>
 #include <sstream>
-#include <utility>
-#include <vector>
+#include <unordered_map>
 
+#include "rtl/schedule.hh"
 #include "util/logging.hh"
 
 namespace coppelia::rtl::compile
@@ -48,13 +49,7 @@ hexLit(std::uint64_t v)
     return os.str();
 }
 
-std::string
-tmp(ExprRef r)
-{
-    return "t" + std::to_string(r);
-}
-
-/** Wrap @p body in the interpreter's Value-constructor mask for width w. */
+/** Wrap @p body in the mask for width w. */
 std::string
 masked(const std::string &body, int w)
 {
@@ -63,59 +58,85 @@ masked(const std::string &body, int w)
     return "(" + body + ") & " + hexLit(widthMask(w));
 }
 
-/** Signed interpretation of operand @p r (replicates Value::toInt). */
-std::string
-sgn(const Design &design, ExprRef r)
+/** Prints schedule slots as C++: signal words as `s[i]`, constants as
+ *  literals, temporaries as `t<slot>` locals. */
+class SlotNames
 {
-    return "sgn(" + tmp(r) + ", " + std::to_string(design.widthOf(r)) + ")";
-}
+  public:
+    explicit SlotNames(const Schedule &sched)
+        : numSignals_(static_cast<std::uint32_t>(sched.numSignals())),
+          constants_(sched.constants().begin(), sched.constants().end())
+    {
+    }
 
-/** The C++ right-hand side computing expression @p e (operands are the
- *  already-emitted temps). Mirrors combine() in rtl/sim.cc case by case. */
+    std::string
+    operator()(std::uint32_t slot) const
+    {
+        if (slot < numSignals_)
+            return "s[" + std::to_string(slot) + "]";
+        if (auto it = constants_.find(slot); it != constants_.end())
+            return hexLit(it->second);
+        return "t" + std::to_string(slot);
+    }
+
+    /** The left-hand side that stores into @p slot. */
+    std::string
+    store(std::uint32_t slot) const
+    {
+        if (slot < numSignals_)
+            return (*this)(slot);
+        return "const u64 " + (*this)(slot);
+    }
+
+  private:
+    std::uint32_t numSignals_;
+    std::unordered_map<std::uint32_t, std::uint64_t> constants_;
+};
+
+/** The C++ right-hand side of @p in. Mirrors Schedule::run case by case,
+ *  with the masks Design::eval applies. */
 std::string
-exprBody(const Design &design, const Expr &e)
+instrBody(const Instr &in, const SlotNames &name)
 {
-    const std::string a = e.args[0] != NoExpr ? tmp(e.args[0]) : "";
-    const std::string b = e.args[1] != NoExpr ? tmp(e.args[1]) : "";
-    const std::string c = e.args[2] != NoExpr ? tmp(e.args[2]) : "";
-    switch (e.op) {
-      case Op::Const:
-        return hexLit(e.imm & widthMask(e.width));
-      case Op::Signal:
-        return "s[" + std::to_string(e.sig) + "]";
+    const std::string a = name(in.a);
+    const std::string b = name(in.b);
+    const std::string c = name(in.c);
+    const int w = in.width;
+    const std::string sa = "sgn(" + a + ", " + std::to_string(in.aux) + ")";
+    const std::string sb = "sgn(" + b + ", " + std::to_string(in.aux) + ")";
+    switch (in.op) {
       case Op::Not:
-        return masked("~" + a, e.width);
+        return masked("~" + a, w);
       case Op::Neg:
-        return masked("~" + a + " + 1", e.width);
+        return masked("~" + a + " + 1", w);
       case Op::RedOr:
         return "(u64)(" + a + " != 0)";
       case Op::RedAnd:
-        return "(u64)(" + a + " == " +
-               hexLit(widthMask(design.widthOf(e.args[0]))) + ")";
+        return "(u64)(" + a + " == " + hexLit(widthMask(in.aux)) + ")";
       case Op::RedXor:
         return "(u64)__builtin_parityll(" + a + ")";
       case Op::And:
-        return masked(a + " & " + b, e.width);
+        return masked(a + " & " + b, w);
       case Op::Or:
-        return masked(a + " | " + b, e.width);
+        return masked(a + " | " + b, w);
       case Op::Xor:
-        return masked(a + " ^ " + b, e.width);
+        return masked(a + " ^ " + b, w);
       case Op::Add:
-        return masked(a + " + " + b, e.width);
+        return masked(a + " + " + b, w);
       case Op::Sub:
-        return masked(a + " - " + b, e.width);
+        return masked(a + " - " + b, w);
       case Op::Mul:
-        return masked(a + " * " + b, e.width);
+        return masked(a + " * " + b, w);
       case Op::Shl:
-        return masked(b + " >= 64 ? 0 : " + a + " << " + b, e.width);
+        return masked(b + " >= 64 ? 0 : " + a + " << " + b, w);
       case Op::LShr:
-        return masked(b + " >= 64 ? 0 : " + a + " >> " + b, e.width);
+        return masked(b + " >= 64 ? 0 : " + a + " >> " + b, w);
       case Op::AShr:
-        // Interpreter special case: shifts >= 63 collapse to the sign fill.
-        return masked(b + " >= 63 ? (" + sgn(design, e.args[0]) +
-                          " < 0 ? ~0ull : 0ull) : (u64)(" +
-                          sgn(design, e.args[0]) + " >> " + b + ")",
-                      e.width);
+        // Shifts >= 63 collapse to the sign fill.
+        return masked(b + " >= 63 ? (" + sa +
+                          " < 0 ? ~0ull : 0ull) : (u64)(" + sa + " >> " +
+                          b + ")",
+                      w);
       case Op::Eq:
         return "(u64)(" + a + " == " + b + ")";
       case Op::Ne:
@@ -125,61 +146,33 @@ exprBody(const Design &design, const Expr &e)
       case Op::Ule:
         return "(u64)(" + a + " <= " + b + ")";
       case Op::Slt:
-        return "(u64)(" + sgn(design, e.args[0]) + " < " +
-               sgn(design, e.args[1]) + ")";
+        return "(u64)(" + sa + " < " + sb + ")";
       case Op::Sle:
-        return "(u64)(" + sgn(design, e.args[0]) + " <= " +
-               sgn(design, e.args[1]) + ")";
+        return "(u64)(" + sa + " <= " + sb + ")";
       case Op::Concat:
-        return masked(a + " << " +
-                          std::to_string(design.widthOf(e.args[1])) + " | " +
-                          b,
-                      e.width);
+        return masked(a + " << " + std::to_string(in.aux) + " | " + b, w);
       case Op::Extract:
-        return masked(a + " >> " + std::to_string(e.lo), e.width);
+        return masked(a + " >> " + std::to_string(in.aux), w);
       case Op::ZExt:
-        return a; // operand is masked to its (narrower) width already
+        return a; // also the schedule's copy; operands are masked already
       case Op::SExt:
-        return masked("(u64)" + sgn(design, e.args[0]), e.width);
+        return masked("(u64)" + sa, w);
       case Op::Ite:
-        // Interpreter returns the branch value without re-masking; branch
-        // widths equal e.width by construction (Design::ite checks).
         return a + " ? " + b + " : " + c;
+      default:
+        break;
     }
-    panic("codegen: unhandled op ", opName(e.op));
+    panic("codegen: unhandled op ", opName(in.op));
 }
 
-/**
- * Emit `const u64 tN = ...;` lines for every not-yet-emitted node of the
- * tree rooted at @p root, children first (iterative post-order — deep mux
- * chains would overflow the C stack, same concern as ExprEvaluator).
- * @p emitted is per-function scope: temps are valid for reuse within one
- * emitted function body only.
- */
+/** One line per instruction of @p instrs. */
 void
-emitExprTree(const Design &design, ExprRef root, std::vector<char> &emitted,
-             std::ostringstream &os)
+emitInstrs(std::span<const Instr> instrs, const SlotNames &name,
+           std::ostringstream &os)
 {
-    std::vector<std::pair<ExprRef, bool>> stack;
-    stack.push_back({root, false});
-    while (!stack.empty()) {
-        auto [r, expanded] = stack.back();
-        stack.pop_back();
-        if (emitted[r])
-            continue;
-        const Expr &e = design.expr(r);
-        if (!expanded && e.op != Op::Const && e.op != Op::Signal) {
-            stack.push_back({r, true});
-            for (ExprRef arg : e.args) {
-                if (arg != NoExpr && !emitted[arg])
-                    stack.push_back({arg, false});
-            }
-            continue;
-        }
-        os << "    const u64 " << tmp(r) << " = " << exprBody(design, e)
+    for (const Instr &in : instrs)
+        os << "    " << name.store(in.dst) << " = " << instrBody(in, name)
            << ";\n";
-        emitted[r] = 1;
-    }
 }
 
 } // namespace
@@ -234,47 +227,21 @@ emitModelSource(const Design &design)
        << "}\n"
        << "} // namespace\n\n";
 
-    // Settle pass: wires in topological order, exactly as the interpreter's
-    // evalComb(). Undriven wires are pinned to zero each settle.
+    // The interpreter's schedule, printed: the settle section as
+    // coppelia_eval, the latch section (next states, then commits) as
+    // latch(). Temporaries are locals of the function that computes them.
+    const Schedule sched(design);
+    const SlotNames name(sched);
     os << "extern \"C\" void coppelia_eval(u64 *s) {\n";
-    {
-        std::vector<char> emitted(design.numExprs(), 0);
-        for (SignalId sig : design.topoWires()) {
-            const Signal &s = design.signal(sig);
-            if (s.def == NoExpr) {
-                os << "    s[" << sig << "] = 0;\n";
-                continue;
-            }
-            emitExprTree(design, s.def, emitted, os);
-            os << "    s[" << sig << "] = " << tmp(s.def) << ";\n";
-        }
-    }
-    os << "}\n\n";
-
-    // Latch pass: every next-state value is computed against the settled
-    // pre-edge state before any register commits (non-blocking semantics).
-    // Registers without a next-state expression hold their value.
-    os << "namespace {\n"
+    emitInstrs(sched.settleInstrs(), name, os);
+    os << "}\n\n"
+       << "namespace {\n"
        << "void latch(u64 *s) {\n";
-    {
-        std::vector<char> emitted(design.numExprs(), 0);
-        std::vector<SignalId> regs;
-        for (SignalId sig = 0; sig < design.numSignals(); ++sig) {
-            const Signal &s = design.signal(sig);
-            if (s.kind != SignalKind::Register || s.def == NoExpr)
-                continue;
-            emitExprTree(design, s.def, emitted, os);
-            regs.push_back(sig);
-        }
-        for (SignalId sig : regs)
-            os << "    s[" << sig << "] = " << tmp(design.signal(sig).def)
-               << ";\n";
-    }
+    emitInstrs(sched.latchInstrs(), name, os);
     os << "}\n"
        << "} // namespace\n\n";
 
-    os << "extern \"C\" void coppelia_step(u64 *s) {\n"
-       << "    coppelia_eval(s);\n"
+    os << "extern \"C\" void coppelia_latch_eval(u64 *s) {\n"
        << "    latch(s);\n"
        << "    coppelia_eval(s);\n"
        << "}\n\n"

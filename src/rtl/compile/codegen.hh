@@ -1,24 +1,25 @@
 /**
  * @file
- * C++ code generation for the compiled-simulation backend. The elaborated
- * IR is scheduled once — wires in the Design's cached topological order,
- * registers in a compute-all-then-commit latch pass — and emitted as
- * straight-line C++ over a flat `uint64_t` state array indexed by SignalId
- * (every signal is 1..64 bits wide, so one word per signal suffices).
+ * C++ code generation for the compiled-simulation backend. It prints the
+ * interpreter's levelized Schedule (rtl/schedule.hh) — wires in the
+ * Design's cached topological order, then a compute-all-then-commit latch
+ * pass — as straight-line C++ over the flat `uint64_t` state array the
+ * Simulator keeps, indexed by SignalId (every signal is 1..64 bits wide,
+ * so one word per signal suffices).
  *
  * The emitted translation unit is self-contained (it includes only
  * <cstdint>) and exposes a tiny extern "C" ABI:
  *
- *     void     coppelia_eval(uint64_t *s);   // settle combinational wires
- *     void     coppelia_step(uint64_t *s);   // eval; latch; eval
- *     uint64_t coppelia_num_signals(void);   // sanity check on load
- *     uint64_t coppelia_ir_hash(void);       // stale-object check on load
- *     uint64_t coppelia_abi_version(void);   // kCodegenAbiVersion
+ *     void     coppelia_eval(uint64_t *s);       // settle the wires
+ *     void     coppelia_latch_eval(uint64_t *s); // latch, then settle
+ *     uint64_t coppelia_num_signals(void);       // sanity check on load
+ *     uint64_t coppelia_ir_hash(void);           // stale-object check
+ *     uint64_t coppelia_abi_version(void);       // kCodegenAbiVersion
  *
- * Semantics replicate the interpreter's combine() in rtl/sim.cc exactly —
- * masking discipline, the AShr shift>=63 special case, Ite without a
- * re-mask — so the differential test in tests/test_sim_compiled.cc can
- * demand bit-for-bit equality, not just architectural agreement.
+ * Each instruction prints with the interpreter's semantics — masking
+ * discipline, the AShr shift>=63 special case, Ite without a re-mask — so
+ * the differential test in tests/test_sim_compiled.cc can demand
+ * bit-for-bit equality, not just architectural agreement.
  */
 
 #ifndef COPPELIA_RTL_COMPILE_CODEGEN_HH
@@ -34,7 +35,7 @@ namespace coppelia::rtl::compile
 
 /** Bumped whenever the emitted ABI or scheduling semantics change; part of
  *  the on-disk cache key so stale objects are never dlopen'd. */
-constexpr std::uint64_t kCodegenAbiVersion = 1;
+constexpr std::uint64_t kCodegenAbiVersion = 2;
 
 /**
  * Stable hash of the semantic content of a design: signal kinds, widths,

@@ -149,11 +149,12 @@ loadModel(const fs::path &so, const Design &design, std::uint64_t ir,
     auto sym = [&](const char *name) { return dlsym(handle, name); };
     using MetaFn = std::uint64_t (*)();
     auto *eval = reinterpret_cast<CompiledModel::StateFn>(sym("coppelia_eval"));
-    auto *step = reinterpret_cast<CompiledModel::StateFn>(sym("coppelia_step"));
+    auto *latch_eval =
+        reinterpret_cast<CompiledModel::StateFn>(sym("coppelia_latch_eval"));
     auto *nsig = reinterpret_cast<MetaFn>(sym("coppelia_num_signals"));
     auto *hash = reinterpret_cast<MetaFn>(sym("coppelia_ir_hash"));
     auto *abi = reinterpret_cast<MetaFn>(sym("coppelia_abi_version"));
-    if (eval == nullptr || step == nullptr || nsig == nullptr ||
+    if (eval == nullptr || latch_eval == nullptr || nsig == nullptr ||
         hash == nullptr || abi == nullptr) {
         dlclose(handle);
         err = "missing symbol in compiled model";
@@ -166,7 +167,7 @@ loadModel(const fs::path &so, const Design &design, std::uint64_t ir,
         return nullptr;
     }
     return std::make_shared<const CompiledModel>(
-        handle, eval, step, design.numSignals(), ir, so.string());
+        handle, eval, latch_eval, design.numSignals(), ir, so.string());
 }
 
 /** Emit source, run the compiler, and atomically install @p so. */

@@ -51,9 +51,9 @@ class CompiledModel
 
     /** Constructed by getOrCompile() after symbol/metadata validation;
      *  takes ownership of the dlopen handle. */
-    CompiledModel(void *handle, StateFn eval, StateFn step, int num_signals,
-                  std::uint64_t ir_hash, std::string path)
-        : handle_(handle), eval_(eval), step_(step),
+    CompiledModel(void *handle, StateFn eval, StateFn latch_eval,
+                  int num_signals, std::uint64_t ir_hash, std::string path)
+        : handle_(handle), eval_(eval), latchEval_(latch_eval),
           numSignals_(num_signals), irHash_(ir_hash), path_(std::move(path))
     {
     }
@@ -62,8 +62,10 @@ class CompiledModel
     CompiledModel(const CompiledModel &) = delete;
     CompiledModel &operator=(const CompiledModel &) = delete;
 
+    /** Settle the wires. */
     void eval(std::uint64_t *state) const { eval_(state); }
-    void step(std::uint64_t *state) const { step_(state); }
+    /** Latch the registers of a settled state, then settle again. */
+    void latchEval(std::uint64_t *state) const { latchEval_(state); }
     int numSignals() const { return numSignals_; }
     std::uint64_t irHash() const { return irHash_; }
     /** Path of the shared object backing this model (diagnostics). */
@@ -72,7 +74,7 @@ class CompiledModel
   private:
     void *handle_ = nullptr;
     StateFn eval_ = nullptr;
-    StateFn step_ = nullptr;
+    StateFn latchEval_ = nullptr;
     int numSignals_ = 0;
     std::uint64_t irHash_ = 0;
     std::string path_;

@@ -1,6 +1,7 @@
 #include "rtl/sim.hh"
 
 #include "rtl/compile/compiled.hh"
+#include "rtl/schedule.hh"
 #include "util/logging.hh"
 
 namespace coppelia::rtl
@@ -28,138 +29,20 @@ parseSimBackendName(const std::string &name, SimBackend *out)
     return true;
 }
 
-namespace
-{
-
-Value
-combine(const Expr &e, const Value &a, const Value &b, const Value &c)
-{
-    switch (e.op) {
-      case Op::Not:
-        return Value(e.width, ~a.bits());
-      case Op::Neg:
-        return Value(e.width, ~a.bits() + 1);
-      case Op::RedOr:
-        return Value(1, a.bits() != 0);
-      case Op::RedAnd:
-        return Value(1, a.bits() == widthMask(a.width()));
-      case Op::RedXor:
-        return Value(1, __builtin_parityll(a.bits()));
-      case Op::And:
-        return Value(e.width, a.bits() & b.bits());
-      case Op::Or:
-        return Value(e.width, a.bits() | b.bits());
-      case Op::Xor:
-        return Value(e.width, a.bits() ^ b.bits());
-      case Op::Add:
-        return Value(e.width, a.bits() + b.bits());
-      case Op::Sub:
-        return Value(e.width, a.bits() - b.bits());
-      case Op::Mul:
-        return Value(e.width, a.bits() * b.bits());
-      case Op::Shl: {
-        const std::uint64_t sh = b.bits();
-        return Value(e.width, sh >= 64 ? 0 : (a.bits() << sh));
-      }
-      case Op::LShr: {
-        const std::uint64_t sh = b.bits();
-        return Value(e.width, sh >= 64 ? 0 : (a.bits() >> sh));
-      }
-      case Op::AShr: {
-        const std::uint64_t sh = b.bits();
-        const std::int64_t sa = a.toInt();
-        if (sh >= 63)
-            return Value(e.width, sa < 0 ? ~0ull : 0);
-        return Value(e.width, static_cast<std::uint64_t>(sa >> sh));
-      }
-      case Op::Eq:
-        return Value(1, a.bits() == b.bits());
-      case Op::Ne:
-        return Value(1, a.bits() != b.bits());
-      case Op::Ult:
-        return Value(1, a.bits() < b.bits());
-      case Op::Ule:
-        return Value(1, a.bits() <= b.bits());
-      case Op::Slt:
-        return Value(1, a.toInt() < b.toInt());
-      case Op::Sle:
-        return Value(1, a.toInt() <= b.toInt());
-      case Op::Concat:
-        return Value(e.width, (a.bits() << b.width()) | b.bits());
-      case Op::Extract:
-        return Value(e.width, a.bits() >> e.lo);
-      case Op::ZExt:
-        return Value(e.width, a.bits());
-      case Op::SExt:
-        return Value(e.width, static_cast<std::uint64_t>(a.toInt()));
-      case Op::Ite:
-        return a.isTrue() ? b : c;
-      default:
-        panic("Simulator: unhandled op ", opName(e.op));
-    }
-}
-
-} // namespace
-
-ExprEvaluator::ExprEvaluator(const Design &design)
-    : design_(design), memo_(design.numExprs()),
-      memoEpoch_(design.numExprs(), 0)
-{
-    stack_.reserve(64);
-}
-
-Value
-ExprEvaluator::eval(ExprRef ref, const std::vector<Value> &env)
-{
-    // Values are memoized per ExprRef under the current epoch; correctness
-    // relies on wires being updated in topological order so a Signal read
-    // is only evaluated after its driver settled (same contract as the
-    // settle loop itself).
-    if (memoEpoch_[ref] == epoch_)
-        return memo_[ref];
-    // Iterative post-order; deep mux chains overflow the C stack.
-    stack_.clear();
-    stack_.push_back({ref, false});
-    while (!stack_.empty()) {
-        auto [r, expanded] = stack_.back();
-        stack_.pop_back();
-        if (memoEpoch_[r] == epoch_)
-            continue;
-        const Expr &e = design_.expr(r);
-        if (e.op == Op::Const) {
-            memo_[r] = Value(e.width, e.imm);
-            memoEpoch_[r] = epoch_;
-            continue;
-        }
-        if (e.op == Op::Signal) {
-            memo_[r] = env[e.sig];
-            memoEpoch_[r] = epoch_;
-            continue;
-        }
-        if (!expanded) {
-            stack_.push_back({r, true});
-            for (ExprRef a : e.args) {
-                if (a != NoExpr && memoEpoch_[a] != epoch_)
-                    stack_.push_back({a, false});
-            }
-            continue;
-        }
-        const Value a = e.args[0] != NoExpr ? memo_[e.args[0]] : Value();
-        const Value b = e.args[1] != NoExpr ? memo_[e.args[1]] : Value();
-        const Value c = e.args[2] != NoExpr ? memo_[e.args[2]] : Value();
-        memo_[r] = combine(e, a, b, c);
-        memoEpoch_[r] = epoch_;
-    }
-    return memo_[ref];
-}
-
 Simulator::Simulator(const Design &design, SimBackend backend)
-    : design_(design), evaluator_(design)
+    : design_(design)
 {
     // Falls back to the interpreter (getOrCompile warns once per design)
     // when the codegen backend cannot deliver a model.
     if (backend == SimBackend::Compiled)
         compiled_ = compile::getOrCompile(design);
+    if (compiled_ != nullptr) {
+        state_.assign(static_cast<std::size_t>(design.numSignals()), 0);
+    } else {
+        schedule_ = std::make_shared<const Schedule>(design);
+        state_.assign(schedule_->numSlots(), 0);
+        schedule_->loadConstants(state_.data());
+    }
     reset();
 }
 
@@ -170,35 +53,16 @@ Simulator::compiledBackendAvailable()
 }
 
 void
-Simulator::syncFromRaw()
-{
-    for (std::size_t i = 0; i < env_.size(); ++i)
-        env_[i].setBits(raw_[i]);
-}
-
-void
 Simulator::reset()
 {
-    env_.assign(design_.numSignals(), Value());
     for (SignalId sig = 0; sig < design_.numSignals(); ++sig) {
         const Signal &s = design_.signal(sig);
-        switch (s.kind) {
-          case SignalKind::Register:
-            env_[sig] = s.resetValue;
-            break;
-          case SignalKind::Input:
-          case SignalKind::Wire:
-            env_[sig] = Value(s.width, 0);
-            break;
-        }
-    }
-    if (compiled_ != nullptr) {
-        raw_.resize(env_.size());
-        for (std::size_t i = 0; i < env_.size(); ++i)
-            raw_[i] = env_[i].bits();
+        state_[sig] =
+            s.kind == SignalKind::Register ? s.resetValue.bits() : 0;
     }
     cycle_ = 0;
     evalCount_ = 0;
+    settled_ = false;
     evalComb();
 }
 
@@ -208,9 +72,11 @@ Simulator::setInput(SignalId sig, std::uint64_t bits)
     const Signal &s = design_.signal(sig);
     if (s.kind != SignalKind::Input)
         fatal("setInput on non-input signal ", s.name);
-    env_[sig] = Value(s.width, bits);
-    if (compiled_ != nullptr)
-        raw_[sig] = env_[sig].bits();
+    bits &= widthMask(s.width);
+    if (state_[sig] != bits) {
+        state_[sig] = bits;
+        settled_ = false;
+    }
 }
 
 void
@@ -220,65 +86,38 @@ Simulator::setInput(const std::string &name, std::uint64_t bits)
 }
 
 void
+Simulator::settle()
+{
+    if (compiled_ != nullptr)
+        compiled_->eval(state_.data());
+    else
+        schedule_->settle(state_.data());
+    settled_ = true;
+}
+
+void
 Simulator::evalComb()
 {
-    if (compiled_ != nullptr) {
-        compiled_->eval(raw_.data());
-        syncFromRaw();
-        ++evalCount_;
-        return;
-    }
-    evaluator_.invalidate();
-    for (SignalId sig : design_.topoWires()) {
-        const Signal &s = design_.signal(sig);
-        if (s.def == NoExpr) {
-            env_[sig] = Value(s.width, 0);
-            continue;
-        }
-        env_[sig] = evaluator_.eval(s.def, env_);
-    }
+    if (!settled_)
+        settle();
     ++evalCount_;
 }
 
 void
 Simulator::step()
 {
+    if (!settled_)
+        settle();
+    // Every next-state value is computed against the settled pre-edge
+    // state before any register commits (non-blocking semantics); the
+    // settle that follows makes the wires reflect the new registers.
     if (compiled_ != nullptr) {
-        // The compiled step is eval/latch/eval in one call; the env must
-        // be re-synced *before* observer dispatch so observers (the
-        // fuzzer's CoverageMap) see the identical settled state.
-        compiled_->step(raw_.data());
-        evalCount_ += 2;
-        syncFromRaw();
-        ++cycle_;
-#ifndef COPPELIA_NO_SIM_OBSERVERS
-        if (observer_ != nullptr)
-            observer_->onStep(*this);
-#endif
-        return;
+        compiled_->latchEval(state_.data());
+    } else {
+        schedule_->latch(state_.data());
+        schedule_->settle(state_.data());
     }
-
-    evalComb();
-
-    // Compute all next-state values against the settled pre-edge state, then
-    // latch simultaneously (non-blocking assignment semantics). The latch
-    // buffer persists across steps so the cycle loop stays allocation-free.
-    evaluator_.invalidate();
-    latchBuf_.clear();
-    for (SignalId sig = 0; sig < design_.numSignals(); ++sig) {
-        const Signal &s = design_.signal(sig);
-        if (s.kind != SignalKind::Register)
-            continue;
-        if (s.def == NoExpr) {
-            latchBuf_.emplace_back(sig, env_[sig]); // holds its value
-            continue;
-        }
-        latchBuf_.emplace_back(sig, evaluator_.eval(s.def, env_));
-    }
-    for (const auto &[sig, v] : latchBuf_)
-        env_[sig] = v;
-
-    evalComb();
+    evalCount_ += 2;
     ++cycle_;
 
 #ifndef COPPELIA_NO_SIM_OBSERVERS
@@ -290,13 +129,23 @@ Simulator::step()
 Value
 Simulator::peek(SignalId sig) const
 {
-    return env_.at(sig);
+    return Value(design_.signal(sig).width, state_.at(sig));
 }
 
 Value
 Simulator::peek(const std::string &name) const
 {
-    return env_.at(design_.signalIdOf(name));
+    return peek(design_.signalIdOf(name));
+}
+
+std::vector<Value>
+Simulator::env() const
+{
+    std::vector<Value> env;
+    env.reserve(static_cast<std::size_t>(design_.numSignals()));
+    for (SignalId sig = 0; sig < design_.numSignals(); ++sig)
+        env.emplace_back(design_.signal(sig).width, state_[sig]);
+    return env;
 }
 
 void
@@ -305,9 +154,11 @@ Simulator::pokeRegister(SignalId sig, std::uint64_t bits)
     const Signal &s = design_.signal(sig);
     if (s.kind != SignalKind::Register)
         fatal("pokeRegister on non-register signal ", s.name);
-    env_[sig] = Value(s.width, bits);
-    if (compiled_ != nullptr)
-        raw_[sig] = env_[sig].bits();
+    bits &= widthMask(s.width);
+    if (state_[sig] != bits) {
+        state_[sig] = bits;
+        settled_ = false;
+    }
 }
 
 } // namespace coppelia::rtl

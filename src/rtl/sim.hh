@@ -7,6 +7,12 @@
  * new inputs applied and one after the register latch, so downstream wires
  * reflect the new register state.
  *
+ * State is one array of raw 64-bit words indexed by SignalId, the array
+ * the compiled backend's generated code runs on; the interpreter appends
+ * its schedule's constant and temporary slots (rtl/schedule.hh). A settle
+ * runs only when an input or register changed since the last one, so
+ * step() after an evalComb() with nothing set in between latches at once.
+ *
  * This simulator doubles as the "FPGA board" stand-in: exploit replay runs
  * the generated instruction stream on it from reset and watches assertions.
  */
@@ -17,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "rtl/design.hh"
@@ -30,15 +35,16 @@ namespace compile
 class CompiledModel;
 }
 
+class Schedule;
 class Simulator;
 
 /**
- * Which execution substrate a Simulator uses. Interpret walks the IR with
- * the memoizing ExprEvaluator every cycle; Compiled runs straight-line
- * machine code generated once per design by src/rtl/compile/ (falling back
- * to Interpret, with a warning, when no host toolchain is available).
- * Both are bit-for-bit equivalent — tests/test_sim_compiled.cc holds them
- * to that over the full bug matrix.
+ * Which execution substrate a Simulator uses. Interpret sweeps the
+ * design's levelized Schedule every settle; Compiled runs the same
+ * schedule as straight-line machine code generated once per design by
+ * src/rtl/compile/ (falling back to Interpret, with a warning, when no
+ * host toolchain is available). Both are bit-for-bit equivalent —
+ * tests/test_sim_compiled.cc holds them to that over the full bug matrix.
  */
 enum class SimBackend
 {
@@ -62,31 +68,6 @@ class StepObserver
 
     /** Called once per step(), after the final settle. */
     virtual void onStep(const Simulator &sim) = 0;
-};
-
-/**
- * Reusable memoized expression evaluator over one design. Memoization is
- * epoch-based so invalidate() between environment changes costs O(1), and
- * all buffers persist across calls — eval() is allocation-free once the
- * traversal stack has grown to its working depth.
- */
-class ExprEvaluator
-{
-  public:
-    explicit ExprEvaluator(const Design &design);
-
-    /** Evaluate @p ref against @p env (indexed by SignalId). */
-    Value eval(ExprRef ref, const std::vector<Value> &env);
-
-    /** Drop all memoized values (the environment changed). */
-    void invalidate() { ++epoch_; }
-
-  private:
-    const Design &design_;
-    std::vector<Value> memo_;
-    std::vector<std::uint32_t> memoEpoch_;
-    std::uint32_t epoch_ = 1;
-    std::vector<std::pair<ExprRef, bool>> stack_;
 };
 
 /** Concrete two-phase simulator. */
@@ -117,11 +98,13 @@ class Simulator
 
     /**
      * Advance one clock cycle: settle combinational logic with current
-     * inputs, latch registers, settle again. Counts as two eval() calls.
+     * inputs (skipped when nothing changed since the last settle), latch
+     * registers, settle again. Counts as two eval() calls.
      */
     void step();
 
-    /** Settle combinational logic without clocking (half-cycle eval). */
+    /** Settle combinational logic without clocking (half-cycle eval);
+     *  already settled when nothing changed since the last settle. */
     void evalComb();
 
     /** Read the current value of any signal (wire values are as of the last
@@ -129,14 +112,18 @@ class Simulator
     Value peek(SignalId sig) const;
     Value peek(const std::string &name) const;
 
+    /** The raw word of @p sig (masked to its width); unchecked. */
+    std::uint64_t word(SignalId sig) const { return state_[sig]; }
+
     /** Total eval() invocations so far (two per step()). */
     std::uint64_t evalCount() const { return evalCount_; }
 
     /** Cycles since the last reset. */
     std::uint64_t cycle() const { return cycle_; }
 
-    /** Direct access to the full environment (indexed by SignalId). */
-    const std::vector<Value> &env() const { return env_; }
+    /** Every signal's current value, indexed by SignalId: a copy built on
+     *  each call, for assertion checks and tests. */
+    std::vector<Value> env() const;
 
     /** Force a register to an arbitrary value (used by the BMC baseline to
      * replay counterexamples that start from non-reset states). */
@@ -168,20 +155,18 @@ class Simulator
     }
 
   private:
-    /** Copy the compiled backend's raw words back into env_ (widths are
-     *  fixed per signal, so only the payload bits move). */
-    void syncFromRaw();
+    /** Run the settle pass on the current inputs and registers. */
+    void settle();
 
     const Design &design_;
-    std::vector<Value> env_;
-    ExprEvaluator evaluator_;
-    /** Compiled backend: the shared immutable model and this simulator's
-     *  raw state array (bits per SignalId). Null model = interpreting. */
+    /** Exactly one is set: the shared compiled model, or the schedule the
+     *  interpreter sweeps (built on first simulation, shared by copies). */
     std::shared_ptr<const compile::CompiledModel> compiled_;
-    std::vector<std::uint64_t> raw_;
-    /** Persistent next-state buffer for step(): the per-cycle loop is
-     *  allocation-free once it has grown to the register count. */
-    std::vector<std::pair<SignalId, Value>> latchBuf_;
+    std::shared_ptr<const Schedule> schedule_;
+    /** Signal words by SignalId; the interpreter's schedule slots follow. */
+    std::vector<std::uint64_t> state_;
+    /** No input or register changed since the last settle. */
+    bool settled_ = false;
     std::uint64_t evalCount_ = 0;
     std::uint64_t cycle_ = 0;
 #ifndef COPPELIA_NO_SIM_OBSERVERS

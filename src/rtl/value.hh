@@ -47,11 +47,6 @@ class Value
     int width() const { return width_; }
     std::uint64_t bits() const { return bits_; }
 
-    /** Replace the payload, keeping the width (masked). Used by the
-     *  compiled simulation backend to sync its raw state array back into
-     *  the Value environment without re-deriving widths. */
-    void setBits(std::uint64_t bits) { bits_ = bits & widthMask(width_); }
-
     /** Interpret as unsigned. */
     std::uint64_t toUint() const { return bits_; }
 

@@ -61,6 +61,11 @@ usage(const char *argv0)
         "                     once at 4N, then marks its job incomplete\n"
         "  --no-minimize      skip learnt-clause minimization in conflict\n"
         "                     analysis\n"
+        "  --sim-backend interpret|compiled  concrete simulation\n"
+        "                     substrate for replay and fuzzing (compiled\n"
+        "                     falls back to interpret, with a warning,\n"
+        "                     when no host toolchain works)\n"
+        "  --require-backend  make that fallback a fatal error\n"
         "  --out DIR          output directory (default: .)\n"
         "  --artifacts DIR    per-job forensics artifacts (solver query\n"
         "                     logs, search-recorder streams; default:\n"

@@ -3,11 +3,21 @@
  * Unit tests for the RTL IR: Value semantics, expression construction and
  * evaluation, the two-phase simulator, and topological wire ordering.
  * Includes property-style parameterized sweeps checking operator semantics
- * against plain C++ arithmetic over random operands.
+ * against plain C++ arithmetic over random operands, a differential of the
+ * simulator's schedule against Design::eval on the buggy cores, and the
+ * settle skip against a simulator that settles every time.
  */
+
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cpu/bugs.hh"
+#include "cpu/or1k/core.hh"
+#include "cpu/riscv/core.hh"
 #include "rtl/builder.hh"
 #include "rtl/design.hh"
 #include "rtl/sim.hh"
@@ -15,6 +25,14 @@
 
 namespace coppelia::rtl
 {
+
+/** Names a backend in parameterized test output. */
+void
+PrintTo(SimBackend backend, std::ostream *os)
+{
+    *os << simBackendName(backend);
+}
+
 namespace
 {
 
@@ -408,6 +426,239 @@ TEST_P(OpSemantics, AgreesWithReference)
 
 INSTANTIATE_TEST_SUITE_P(Widths, OpSemantics,
                          ::testing::Values(1, 4, 8, 13, 16, 32, 63, 64));
+
+/** @p env with every wire settled by Design::eval, in topological
+ *  order. */
+std::vector<Value>
+settledEnv(const Design &d, std::vector<Value> env)
+{
+    for (SignalId w : d.topoWires()) {
+        const Signal &s = d.signal(w);
+        env[w] = s.def == NoExpr ? Value(s.width, 0) : d.eval(s.def, env);
+    }
+    return env;
+}
+
+/**
+ * The reference simulator: settles every wire with Design::eval before
+ * and after every latch, with no schedule and no settle skip.
+ */
+struct ReferenceSim
+{
+    explicit ReferenceSim(const Design &d) : design(d)
+    {
+        for (SignalId sig = 0; sig < d.numSignals(); ++sig) {
+            const Signal &s = d.signal(sig);
+            env.push_back(s.kind == SignalKind::Register
+                              ? s.resetValue
+                              : Value(s.width, 0));
+        }
+        settle();
+    }
+
+    void
+    set(SignalId sig, std::uint64_t bits)
+    {
+        env[sig] = Value(design.signal(sig).width, bits);
+    }
+
+    void settle() { env = settledEnv(design, std::move(env)); }
+
+    void
+    step()
+    {
+        settle();
+        std::vector<std::pair<SignalId, Value>> next;
+        for (SignalId sig = 0; sig < design.numSignals(); ++sig) {
+            const Signal &s = design.signal(sig);
+            if (s.kind == SignalKind::Register && s.def != NoExpr)
+                next.emplace_back(sig, design.eval(s.def, env));
+        }
+        for (const auto &[sig, v] : next)
+            env[sig] = v;
+        settle();
+    }
+
+    const Design &design;
+    std::vector<Value> env;
+};
+
+/** Each processor with every in-scope bug injected at once. */
+std::vector<std::pair<std::string, Design>>
+buggyCores()
+{
+    std::vector<std::pair<std::string, Design>> cores;
+    for (cpu::Processor proc :
+         {cpu::Processor::OR1200, cpu::Processor::Mor1kxEspresso,
+          cpu::Processor::PulpinoRi5cy}) {
+        cpu::BugConfig bugs;
+        for (cpu::BugId bug : cpu::bugsFor(proc, false))
+            bugs.set(bug, cpu::BugState::Present);
+        switch (proc) {
+          case cpu::Processor::OR1200:
+            cores.emplace_back("or1200", cpu::or1k::buildOr1200(bugs));
+            break;
+          case cpu::Processor::Mor1kxEspresso:
+            cores.emplace_back("mor1kx", cpu::or1k::buildMor1kx(bugs));
+            break;
+          case cpu::Processor::PulpinoRi5cy:
+            cores.emplace_back("ri5cy", cpu::riscv::buildRi5cy(bugs));
+            break;
+        }
+    }
+    return cores;
+}
+
+/** Every wire of @p sim equals Design::eval of its definition over the
+ *  simulator's own state. */
+void
+expectWiresSettled(const Design &d, const Simulator &sim,
+                   const std::string &ctx)
+{
+    const std::vector<Value> env = sim.env();
+    for (SignalId w : d.topoWires()) {
+        const Signal &s = d.signal(w);
+        const Value want =
+            s.def == NoExpr ? Value(s.width, 0) : d.eval(s.def, env);
+        ASSERT_EQ(env[w], want) << ctx << ": wire " << s.name;
+    }
+}
+
+TEST(SimDifferential, ScheduleMatchesDesignEvalOnBuggyCores)
+{
+    for (const auto &[name, d] : buggyCores()) {
+        std::vector<SignalId> inputs, regs;
+        for (SignalId sig = 0; sig < d.numSignals(); ++sig) {
+            if (d.signal(sig).kind == SignalKind::Input)
+                inputs.push_back(sig);
+            if (d.signal(sig).kind == SignalKind::Register)
+                regs.push_back(sig);
+        }
+        Simulator sim(d);
+        Rng rng(0x5E77'1E00ull + static_cast<std::uint64_t>(regs.size()));
+        for (int cycle = 0; cycle < 120; ++cycle) {
+            const std::string ctx = name + " @" + std::to_string(cycle);
+            for (SignalId in : inputs) {
+                if (rng.flip())
+                    sim.setInput(in, rng.next());
+            }
+            if (rng.below(4) == 0)
+                sim.pokeRegister(regs[rng.below(regs.size())], rng.next());
+            if (rng.flip()) {
+                sim.evalComb();
+                expectWiresSettled(d, sim, ctx + " settle");
+            }
+            // The pre-edge state: the inputs and registers as they stand,
+            // wires settled by the reference.
+            const std::vector<Value> pre = settledEnv(d, sim.env());
+            sim.step();
+            for (SignalId r : regs) {
+                const Signal &s = d.signal(r);
+                const Value want =
+                    s.def == NoExpr ? pre[r] : d.eval(s.def, pre);
+                ASSERT_EQ(sim.peek(r), want)
+                    << ctx << " latch: register " << s.name;
+            }
+            expectWiresSettled(d, sim, ctx + " step");
+        }
+    }
+}
+
+/** Full-state comparison of a simulator against the reference. */
+void
+expectMatches(const Design &d, const Simulator &sim, const ReferenceSim &ref,
+              const std::string &ctx)
+{
+    const std::vector<Value> env = sim.env();
+    for (SignalId sig = 0; sig < d.numSignals(); ++sig)
+        ASSERT_EQ(env[sig], ref.env[sig])
+            << ctx << ": signal " << d.signal(sig).name;
+}
+
+/** The settle skip, on each backend; the compiled half needs a host
+ *  toolchain to build its model. */
+class SettleSkip : public ::testing::TestWithParam<SimBackend>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (GetParam() == SimBackend::Compiled &&
+            !Simulator::compiledBackendAvailable())
+            GTEST_SKIP() << "codegen backend unavailable (no toolchain)";
+    }
+};
+
+TEST_P(SettleSkip, ChangeAfterEvalCombIsSettledBeforeTheLatch)
+{
+    const Design d = cpu::or1k::buildOr1200();
+    const SignalId insn = d.signalIdOf("insn");
+    const SignalId rdata = d.signalIdOf("dmem_rdata");
+    const SignalId gpr3 = d.signalIdOf("gpr3");
+    Simulator sim(d, GetParam());
+    ASSERT_EQ(sim.backend(), GetParam());
+    ReferenceSim ref(d);
+    Rng rng(0x5E77'1E01ull);
+    for (int i = 0; i < 64; ++i) {
+        const std::uint64_t word = rng.next();
+        sim.setInput(insn, word);
+        ref.set(insn, word);
+        sim.evalComb();
+        // Set after the settle: step() must settle again before it
+        // latches, or the registers latch the stale wires.
+        const std::uint64_t v = rng.next();
+        if (i % 2 == 0) {
+            sim.setInput(rdata, v);
+            ref.set(rdata, v);
+        } else {
+            sim.pokeRegister(gpr3, v);
+            ref.set(gpr3, v);
+        }
+        sim.step();
+        ref.step();
+        expectMatches(d, sim, ref, "cycle " + std::to_string(i));
+    }
+}
+
+TEST_P(SettleSkip, CopiedSimulatorSettlesItsOwnInputChange)
+{
+    // The replay probe: settle, copy, change the copy's read data, and
+    // step both.
+    const Design d = cpu::or1k::buildOr1200();
+    const SignalId insn = d.signalIdOf("insn");
+    const SignalId rdata = d.signalIdOf("dmem_rdata");
+    Simulator sim(d, GetParam());
+    ASSERT_EQ(sim.backend(), GetParam());
+    ReferenceSim ref(d);
+    Rng rng(0x5E77'1E02ull);
+    for (int i = 0; i < 32; ++i) {
+        const std::string ctx = "cycle " + std::to_string(i);
+        const std::uint64_t word = rng.next();
+        const std::uint64_t data = rng.next();
+        sim.setInput(insn, word);
+        sim.setInput(rdata, data);
+        ref.set(insn, word);
+        ref.set(rdata, data);
+        sim.evalComb();
+        Simulator probe = sim;
+        ReferenceSim probe_ref = ref;
+        probe.setInput(rdata, ~data);
+        probe_ref.set(rdata, ~data);
+        probe.step();
+        probe_ref.step();
+        sim.step();
+        ref.step();
+        expectMatches(d, probe, probe_ref, ctx + " probe");
+        expectMatches(d, sim, ref, ctx);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SettleSkip,
+    ::testing::Values(SimBackend::Interpret, SimBackend::Compiled),
+    [](const ::testing::TestParamInfo<SimBackend> &info) {
+        return std::string(simBackendName(info.param));
+    });
 
 } // namespace
 } // namespace coppelia::rtl
