@@ -36,10 +36,9 @@ struct Frame
  *  fires within the trace length. */
 bool
 replayFromReset(const rtl::Design &design,
-                const props::Assertion &assertion, const BmcResult &res,
-                rtl::SimBackend backend)
+                const props::Assertion &assertion, const BmcResult &res)
 {
-    rtl::Simulator sim(design, backend);
+    rtl::Simulator sim(design);
     for (const BmcTraceStep &step : res.trace) {
         for (const auto &[sig, value] : step.inputs)
             sim.setInput(sig, value);
@@ -171,8 +170,7 @@ checkAssertion(const rtl::Design &design,
                     step.inputs[sig] = tm.eval(var, model);
                 res.trace.push_back(std::move(step));
             }
-            res.replayableFromReset =
-                replayFromReset(design, assertion, res, opts.simBackend);
+            res.replayableFromReset = replayFromReset(design, assertion, res);
             break;
         }
         state = std::move(next);

@@ -29,7 +29,6 @@
 
 #include "props/assertion.hh"
 #include "rtl/design.hh"
-#include "rtl/sim.hh"
 #include "solver/solver.hh"
 #include "sym/binding.hh"
 #include "util/stats.hh"
@@ -68,8 +67,7 @@ struct BmcOptions
     /** Deleted settings; see smt::RemovedOption. */
     smt::RemovedOption solverRewrite, solverPreprocess, solverAdaptive;
     smt::RemovedOption solverThreads, solverPortfolio, solverCubeBudget;
-    /** Simulation substrate for the from-reset counterexample replay. */
-    rtl::SimBackend simBackend = rtl::SimBackend::Interpret;
+    smt::RemovedOption simBackend;
     /** Constrain instruction inputs to legal opcodes (§II-E1 parity with
      *  the Coppelia runs, as the paper does for both tools). */
     std::function<smt::TermRef(smt::TermManager &, smt::TermRef)>

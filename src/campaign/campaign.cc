@@ -241,16 +241,6 @@ runCampaign(const CampaignSpec &spec, std::ostream *telemetry,
         bse::recorder::setEnabled(true);
     }
 
-    // A compiled-backend campaign with require-backend must not silently
-    // run every job on the interpreter: probe the codegen toolchain once
-    // up front and fail by name so CI-like environments notice.
-    if (spec.simBackend == rtl::SimBackend::Compiled &&
-        spec.requireBackend && !rtl::Simulator::compiledBackendAvailable())
-        fatal("sim-backend-unavailable: campaign '", spec.name,
-              "' requires the compiled simulation backend but codegen is "
-              "unavailable here (no working host C++ toolchain; set "
-              "COPPELIA_CODEGEN_CXX or drop --require-backend)");
-
     // Monitor lifecycle mirrors the trace lifecycle: a caller-owned
     // server outlives the run (the CLI keeps serving after completion);
     // a spec-level port scopes the server to this campaign.
@@ -338,7 +328,6 @@ runCampaign(const CampaignSpec &spec, std::ostream *telemetry,
             JobRecord record;
             record.jobIndex = static_cast<int>(i);
             record.spec = job;
-            record.simBackend = spec.simBackend;
             if (record.spec.assertionId.empty())
                 record.spec.assertionId = result.assertionId;
             record.seed = seed;

@@ -133,7 +133,6 @@ runExploitJob(const CampaignSpec &spec, const JobSpec &job,
     core::CoppeliaOptions opts;
     opts.addPayload = spec.addPayload;
     opts.validateByReplay = spec.validateByReplay;
-    opts.simBackend = spec.simBackend;
     opts.engine.bound = spec.bound;
     opts.engine.maxFeedbackRounds = spec.maxFeedbackRounds;
     opts.engine.timeLimitSeconds = jobTimeLimit(spec, job);
@@ -169,7 +168,6 @@ runBmcJob(const CampaignSpec &spec, const JobSpec &job,
     opts.preset = job.kind == JobKind::BmcIfv ? bmc::Preset::IfvLike
                                               : bmc::Preset::EbmcLike;
     opts.maxBound = spec.bmcMaxBound;
-    opts.simBackend = spec.simBackend;
     opts.timeLimitSeconds = jobTimeLimit(spec, job);
     opts.incrementalSolver = spec.incrementalSolver;
     opts.solverConflictBudget = spec.solverConflictBudget;
@@ -209,7 +207,6 @@ runFuzzJob(const CampaignSpec &spec, const JobSpec &job,
     opts.seed = seed;
     opts.maxExecs = spec.fuzzExecs;
     opts.maxStreamLen = spec.fuzzMaxStream;
-    opts.backend = spec.simBackend;
     opts.timeLimitSeconds = jobTimeLimit(spec, job);
     if (cancel)
         opts.stopRequested = [cancel] { return cancel->cancelled(); };
@@ -239,8 +236,7 @@ runFuzzJob(const CampaignSpec &spec, const JobSpec &job,
     // short-horizon BSEE search from the highest-proximity corpus states.
     const bool cancelled = cancel && cancel->cancelled();
     if (assertion && spec.fuzzHandoffs > 0 && !cancelled) {
-        fuzz::ConcolicBridge bridge(design, job.processor, *assertion,
-                                    spec.simBackend);
+        fuzz::ConcolicBridge bridge(design, job.processor, *assertion);
         std::vector<std::pair<int, const std::vector<std::uint32_t> *>>
             ranked;
         for (const auto &entry : fuzzer.corpus())

@@ -28,9 +28,6 @@ struct JobRecord
 {
     int jobIndex = 0;
     JobSpec spec;
-    /** Simulation substrate the campaign requested for the job's
-     *  concrete replay/lockstep execution. */
-    rtl::SimBackend simBackend = rtl::SimBackend::Interpret;
     std::uint64_t seed = 0; ///< derived seed (only fuzz jobs read it)
     int workerId = 0;
     JobResult result;

@@ -172,12 +172,6 @@ parseSpec(std::istream &in, const std::string &origin)
             spec.fuzzMaxStream = intWord("length");
         } else if (key == "fuzz-handoffs") {
             spec.fuzzHandoffs = intWord("count");
-        } else if (key == "sim-backend") {
-            if (!rtl::parseSimBackendName(word("backend"),
-                                          &spec.simBackend))
-                bad("unknown sim backend");
-        } else if (key == "require-backend") {
-            spec.requireBackend = onOff();
         } else if (key == "payload") {
             spec.addPayload = onOff();
         } else if (key == "replay") {

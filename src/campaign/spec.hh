@@ -26,9 +26,6 @@
  * or1200, mor1kx, ri5cy. Kinds: exploit (default), bmc-ifv, bmc-ebmc,
  * fuzz. Fuzz jobs honor `fuzz-execs N`, `fuzz-stream N` (max stream
  * length), and `fuzz-handoffs N` (concolic hand-off attempts).
- * `sim-backend compiled` runs every job's concrete simulation on the
- * codegen backend; `require-backend on` makes a missing toolchain a
- * named fatal error instead of an interpreter fallback.
  * `trace FILE` records the run as a Chrome trace-event timeline.
  * `monitor PORT` serves live /metrics and /status over HTTP on
  * 127.0.0.1:PORT for the duration of the run (0 = ephemeral port).
@@ -46,7 +43,6 @@
 #include <vector>
 
 #include "cpu/bugs.hh"
-#include "rtl/sim.hh"
 #include "solver/solver.hh"
 
 namespace coppelia::campaign
@@ -108,6 +104,7 @@ struct CampaignSpec
     /** Deleted settings; see smt::RemovedOption. */
     smt::RemovedOption solverRewrite, solverPreprocess, solverAdaptive;
     smt::RemovedOption solverThreads, solverPortfolio, solverCubeBudget;
+    smt::RemovedOption simBackend;
     /** Fuzz-kind knobs (`fuzz-execs`, `fuzz-stream`, `fuzz-handoffs`):
      *  stream executions per job, max stream length, and how many
      *  highest-proximity corpus states get a concolic BSEE hand-off. */
@@ -117,15 +114,6 @@ struct CampaignSpec
     /** Coppelia driver toggles. */
     bool addPayload = true;
     bool validateByReplay = true;
-    /** Concrete-simulation substrate for every job's replay/lockstep
-     *  execution (`sim-backend interpret|compiled` / `--sim-backend`).
-     *  Compiled falls back to the interpreter with a warning unless
-     *  requireBackend is set. */
-    rtl::SimBackend simBackend = rtl::SimBackend::Interpret;
-    /** Fail the campaign with a named error instead of silently
-     *  interpreting when the compiled backend is requested but codegen is
-     *  unavailable (`require-backend on` / `--require-backend`). */
-    bool requireBackend = false;
     /** Chrome trace-event output path (`trace FILE` / `--trace`); empty
      *  disables tracing. The file loads in Perfetto / chrome://tracing
      *  and folds with `coppelia-trace report`. */

@@ -24,10 +24,6 @@ jsonlSchema()
         {"assertion", "assertion id actually targeted"},
         {"status", "how the job ran: completed, no-assertion, or "
                    "cancelled (what it found is in outcome/found)"},
-        {"sim_backend", "requested concrete-simulation substrate: "
-                        "interpret or compiled (compiled may fall back "
-                        "to interpret with a warning unless the campaign "
-                        "set require-backend)"},
         {"outcome", "engine outcome (exploit kind only): found, "
                     "no-violation, bound-exceeded, budget-exhausted"},
         {"found", "a violation was found"},
@@ -82,8 +78,6 @@ recordToJson(const JobRecord &record)
     v.set("bug", json::Value::string(cpu::bugName(record.spec.bug)));
     v.set("assertion", json::Value::string(record.spec.assertionId));
     v.set("status", json::Value::string(jobStatusName(r.status)));
-    v.set("sim_backend",
-          json::Value::string(rtl::simBackendName(record.simBackend)));
     if (record.spec.kind == JobKind::Exploit)
         v.set("outcome", json::Value::string(bse::outcomeName(r.outcome)));
     v.set("found", json::Value::boolean(r.found));

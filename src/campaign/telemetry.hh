@@ -46,11 +46,13 @@ namespace coppelia::campaign
  *   5  removes `attempts`: every job runs once, and the `retryable`
  *      status is gone (an exploit search that ran out of budget is
  *      `completed` with outcome `budget-exhausted`)
+ *   6  removes `sim_backend`: every job simulates on the one levelized
+ *      schedule (rtl::Simulator), so there is no substrate to name
  *
  * Bump it whenever a documented field changes meaning, is removed, or
  * is renamed; adding a field is backward compatible and does not bump.
  */
-constexpr int kJsonlSchemaVersion = 5;
+constexpr int kJsonlSchemaVersion = 6;
 
 /**
  * One documented top-level field of the JSONL record. The schema is a

@@ -41,12 +41,9 @@ Coppelia::generateExploit(const props::Assertion &assertion)
     if (opts_.validateByReplay) {
         const rtl::Design &design = design_;
         const props::Assertion &a = assertion;
-        const rtl::SimBackend backend = opts_.simBackend;
         engine_opts.validator =
-            [&design, &a,
-             backend](const std::vector<bse::TriggerCycle> &cycles) {
-                return exploit::replayTriggerCycles(design, a, cycles,
-                                                    backend);
+            [&design, &a](const std::vector<bse::TriggerCycle> &cycles) {
+                return exploit::replayTriggerCycles(design, a, cycles);
             };
     }
     bse::BackwardEngine engine(design_, engine_opts);
@@ -87,7 +84,7 @@ Coppelia::generateExploit(const props::Assertion &assertion)
         // Trigger-only mode still validates replayability.
         if (opts_.validateByReplay) {
             res.replay.triggerFired = exploit::replayTriggerCycles(
-                design_, assertion, trigger.cycles, opts_.simBackend);
+                design_, assertion, trigger.cycles);
             res.replay.payloadEffect = true;
         }
         return res;
@@ -97,8 +94,7 @@ Coppelia::generateExploit(const props::Assertion &assertion)
 
     // Phase 4: validate on the replay substrate.
     if (opts_.validateByReplay)
-        res.replay =
-            exploit::replayExploit(design_, assertion, e, opts_.simBackend);
+        res.replay = exploit::replayExploit(design_, assertion, e);
     res.exploit = std::move(e);
     return res;
 }

@@ -42,9 +42,8 @@ struct CoppeliaOptions
     bool addPayload = true;
     /** Validate by replay and reject non-replayable triggers. */
     bool validateByReplay = true;
-    /** Simulation substrate for every concrete replay (the compiled
-     *  backend falls back to the interpreter when unavailable). */
-    rtl::SimBackend simBackend = rtl::SimBackend::Interpret;
+    /** Deleted setting; see smt::RemovedOption. */
+    smt::RemovedOption simBackend;
 };
 
 /** Result of one exploit-generation run. */

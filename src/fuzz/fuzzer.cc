@@ -26,20 +26,15 @@ constexpr std::size_t kMaxDivergences = 8;
 Fuzzer::Fuzzer(const rtl::Design &design, cpu::Processor processor,
                FuzzOptions opts)
     : design_(design), opts_(opts), gen_(processor),
-      oracle_(design, processor, opts.backend), coverage_(design),
-      rng_(opts.seed)
+      oracle_(design, processor), coverage_(design), rng_(opts.seed)
 {
-#ifndef COPPELIA_NO_SIM_OBSERVERS
     oracle_.system().sim().setObserver(&coverage_);
-#endif
     coverage_.syncState(oracle_.system().sim());
 }
 
 Fuzzer::~Fuzzer()
 {
-#ifndef COPPELIA_NO_SIM_OBSERVERS
     oracle_.system().sim().setObserver(nullptr);
-#endif
 }
 
 std::optional<Divergence>

@@ -30,6 +30,7 @@
 #include "fuzz/coverage.hh"
 #include "fuzz/mutate.hh"
 #include "fuzz/oracle.hh"
+#include "solver/solver.hh"
 #include "util/rng.hh"
 
 namespace coppelia::fuzz
@@ -48,9 +49,8 @@ struct FuzzOptions
     double timeLimitSeconds = 0.0;
     /** External cancellation hook, polled once per execution. */
     std::function<bool()> stopRequested;
-    /** Simulation substrate for the lockstep RTL side (the compiled
-     *  backend falls back to the interpreter when unavailable). */
-    rtl::SimBackend backend = rtl::SimBackend::Interpret;
+    /** Deleted setting; see smt::RemovedOption. */
+    smt::RemovedOption backend;
 };
 
 /** One distinct, minimized divergence. */

@@ -12,10 +12,8 @@ namespace coppelia::fuzz
 
 ConcolicBridge::ConcolicBridge(const rtl::Design &design,
                                cpu::Processor processor,
-                               const props::Assertion &assertion,
-                               rtl::SimBackend backend)
-    : design_(design), processor_(processor), assertion_(assertion),
-      backend_(backend)
+                               const props::Assertion &assertion)
+    : design_(design), processor_(processor), assertion_(assertion)
 {
     const coi::CoiResult coi = coi::analyze(design, assertion.vars);
     coneRegs_.assign(coi.coneRegisters.begin(), coi.coneRegisters.end());
@@ -25,7 +23,7 @@ ConcolicBridge::ConcolicBridge(const rtl::Design &design,
 std::map<rtl::SignalId, std::uint64_t>
 ConcolicBridge::stateAfter(const std::vector<std::uint32_t> &prefix) const
 {
-    exploit::CoreSystem sys(design_, backend_);
+    exploit::CoreSystem sys(design_);
     for (std::uint32_t insn : prefix)
         sys.stepWithInsn(insn, false);
     std::map<rtl::SignalId, std::uint64_t> regs;
@@ -79,8 +77,7 @@ ConcolicBridge::attempt(const std::vector<std::uint32_t> &prefix,
     eng.initialState = regs;
     eng.validator = [this,
                      &prefix](const std::vector<bse::TriggerCycle> &cycles) {
-        return replayHandoffTrigger(design_, assertion_, prefix, cycles,
-                                    backend_);
+        return replayHandoffTrigger(design_, assertion_, prefix, cycles);
     };
 
     bse::BackwardEngine engine(design_, std::move(eng));
@@ -107,10 +104,9 @@ bool
 replayHandoffTrigger(const rtl::Design &design,
                      const props::Assertion &assertion,
                      const std::vector<std::uint32_t> &prefix,
-                     const std::vector<bse::TriggerCycle> &cycles,
-                     rtl::SimBackend backend)
+                     const std::vector<bse::TriggerCycle> &cycles)
 {
-    exploit::CoreSystem sys(design, backend);
+    exploit::CoreSystem sys(design);
     for (std::uint32_t insn : prefix) {
         sys.stepWithInsn(insn, false);
         if (!sys.holds(assertion))

@@ -27,7 +27,6 @@
 #include "cpu/bugs.hh"
 #include "props/assertion.hh"
 #include "rtl/design.hh"
-#include "rtl/sim.hh"
 
 namespace coppelia::fuzz
 {
@@ -64,8 +63,7 @@ class ConcolicBridge
 {
   public:
     ConcolicBridge(const rtl::Design &design, cpu::Processor processor,
-                   const props::Assertion &assertion,
-                   rtl::SimBackend backend = rtl::SimBackend::Interpret);
+                   const props::Assertion &assertion);
 
     /** Registers in the assertion's cone of influence (§II-D3 set). */
     const std::vector<rtl::SignalId> &coneRegisters() const
@@ -95,7 +93,6 @@ class ConcolicBridge
     const rtl::Design &design_;
     cpu::Processor processor_;
     const props::Assertion &assertion_;
-    rtl::SimBackend backend_;
     std::vector<rtl::SignalId> coneRegs_;
 };
 
@@ -105,11 +102,10 @@ class ConcolicBridge
  * (planting each cycle's assumed read data into memory first). True when
  * the assertion is violated at any cycle boundary.
  */
-bool replayHandoffTrigger(
-    const rtl::Design &design, const props::Assertion &assertion,
-    const std::vector<std::uint32_t> &prefix,
-    const std::vector<bse::TriggerCycle> &cycles,
-    rtl::SimBackend backend = rtl::SimBackend::Interpret);
+bool replayHandoffTrigger(const rtl::Design &design,
+                          const props::Assertion &assertion,
+                          const std::vector<std::uint32_t> &prefix,
+                          const std::vector<bse::TriggerCycle> &cycles);
 
 } // namespace coppelia::fuzz
 

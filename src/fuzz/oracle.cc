@@ -4,9 +4,8 @@ namespace coppelia::fuzz
 {
 
 DivergenceOracle::DivergenceOracle(const rtl::Design &design,
-                                   cpu::Processor processor,
-                                   rtl::SimBackend backend)
-    : design_(design), processor_(processor), sys_(design, backend)
+                                   cpu::Processor processor)
+    : design_(design), processor_(processor), sys_(design)
 {
     if (processor_ == cpu::Processor::PulpinoRi5cy) {
         rv32_ = std::make_unique<iss::Rv32Iss>(sys_.dmem());

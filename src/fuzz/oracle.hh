@@ -44,8 +44,7 @@ struct Divergence
 class DivergenceOracle
 {
   public:
-    DivergenceOracle(const rtl::Design &design, cpu::Processor processor,
-                     rtl::SimBackend backend = rtl::SimBackend::Interpret);
+    DivergenceOracle(const rtl::Design &design, cpu::Processor processor);
 
     /** Reset both models and clear the shared data memory. */
     void reset();

@@ -1,8 +1,8 @@
 /**
  * @file
- * The levelized schedule both simulation backends run. A design's
- * expression DAG is flattened once into straight-line instructions over a
- * dense array of 64-bit slots:
+ * The levelized schedule rtl::Simulator runs. A design's expression DAG
+ * is flattened once into straight-line instructions over a dense array
+ * of 64-bit slots:
  *
  *  - slots [0, numSignals) hold one word per signal, indexed by SignalId
  *    (every signal is 1..64 bits wide);
@@ -15,9 +15,7 @@
  * every register's next-state expression against the settled pre-edge
  * state, then commits them all (non-blocking semantics). Each section
  * lists a node once, children first, so a settle is one linear sweep and
- * so is a latch. The interpreter runs the instructions
- * (Schedule::settle / Schedule::latch); src/rtl/compile/codegen.cc prints
- * the same instructions as C++ for the compiled backend.
+ * so is a latch (Schedule::settle / Schedule::latch).
  *
  * A schedule over arbitrary root expressions (Schedule::ofRoots) has only
  * a settle section; the fuzzer's coverage map evaluates its branch
@@ -81,6 +79,15 @@ class Schedule
      *  on a settled state: wire slots are read, not recomputed. */
     void latch(std::uint64_t *slots) const { run(latchInstrs(), slots); }
 
+    /** ofRoots only: where each root's value lands, and the signals the
+     *  instructions read (the words a caller copies in before settle()). */
+    const std::vector<std::uint32_t> &rootSlots() const { return rootSlots_; }
+    const std::vector<SignalId> &reads() const { return reads_; }
+
+  private:
+    class Builder;
+    Schedule() = default;
+
     std::span<const Instr>
     settleInstrs() const
     {
@@ -92,22 +99,6 @@ class Schedule
     {
         return std::span<const Instr>(instrs_).subspan(latchBegin_);
     }
-
-    /** (slot, value) of every constant slot. */
-    const std::vector<std::pair<std::uint32_t, std::uint64_t>> &
-    constants() const
-    {
-        return constants_;
-    }
-
-    /** ofRoots only: where each root's value lands, and the signals the
-     *  instructions read (the words a caller copies in before settle()). */
-    const std::vector<std::uint32_t> &rootSlots() const { return rootSlots_; }
-    const std::vector<SignalId> &reads() const { return reads_; }
-
-  private:
-    class Builder;
-    Schedule() = default;
 
     static void run(std::span<const Instr> instrs, std::uint64_t *s);
 

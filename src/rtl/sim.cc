@@ -1,55 +1,17 @@
 #include "rtl/sim.hh"
 
-#include "rtl/compile/compiled.hh"
 #include "rtl/schedule.hh"
 #include "util/logging.hh"
 
 namespace coppelia::rtl
 {
 
-const char *
-simBackendName(SimBackend backend)
+Simulator::Simulator(const Design &design)
+    : design_(design), schedule_(std::make_shared<const Schedule>(design)),
+      state_(schedule_->numSlots(), 0)
 {
-    switch (backend) {
-      case SimBackend::Interpret: return "interpret";
-      case SimBackend::Compiled: return "compiled";
-    }
-    return "?";
-}
-
-bool
-parseSimBackendName(const std::string &name, SimBackend *out)
-{
-    if (name == "interpret" || name == "interpreter")
-        *out = SimBackend::Interpret;
-    else if (name == "compiled" || name == "compile")
-        *out = SimBackend::Compiled;
-    else
-        return false;
-    return true;
-}
-
-Simulator::Simulator(const Design &design, SimBackend backend)
-    : design_(design)
-{
-    // Falls back to the interpreter (getOrCompile warns once per design)
-    // when the codegen backend cannot deliver a model.
-    if (backend == SimBackend::Compiled)
-        compiled_ = compile::getOrCompile(design);
-    if (compiled_ != nullptr) {
-        state_.assign(static_cast<std::size_t>(design.numSignals()), 0);
-    } else {
-        schedule_ = std::make_shared<const Schedule>(design);
-        state_.assign(schedule_->numSlots(), 0);
-        schedule_->loadConstants(state_.data());
-    }
+    schedule_->loadConstants(state_.data());
     reset();
-}
-
-bool
-Simulator::compiledBackendAvailable()
-{
-    return compile::backendAvailable();
 }
 
 void
@@ -88,10 +50,7 @@ Simulator::setInput(const std::string &name, std::uint64_t bits)
 void
 Simulator::settle()
 {
-    if (compiled_ != nullptr)
-        compiled_->eval(state_.data());
-    else
-        schedule_->settle(state_.data());
+    schedule_->settle(state_.data());
     settled_ = true;
 }
 
@@ -111,19 +70,13 @@ Simulator::step()
     // Every next-state value is computed against the settled pre-edge
     // state before any register commits (non-blocking semantics); the
     // settle that follows makes the wires reflect the new registers.
-    if (compiled_ != nullptr) {
-        compiled_->latchEval(state_.data());
-    } else {
-        schedule_->latch(state_.data());
-        schedule_->settle(state_.data());
-    }
+    schedule_->latch(state_.data());
+    schedule_->settle(state_.data());
     evalCount_ += 2;
     ++cycle_;
 
-#ifndef COPPELIA_NO_SIM_OBSERVERS
     if (observer_ != nullptr)
         observer_->onStep(*this);
-#endif
 }
 
 Value

@@ -7,9 +7,9 @@
  * new inputs applied and one after the register latch, so downstream wires
  * reflect the new register state.
  *
- * State is one array of raw 64-bit words indexed by SignalId, the array
- * the compiled backend's generated code runs on; the interpreter appends
- * its schedule's constant and temporary slots (rtl/schedule.hh). A settle
+ * State is one array of raw 64-bit words: one per signal, indexed by
+ * SignalId, followed by the constant and temporary slots of the levelized
+ * schedule every settle and latch sweeps (rtl/schedule.hh). A settle
  * runs only when an input or register changed since the last one, so
  * step() after an evalComb() with nothing set in between latches at once.
  *
@@ -30,36 +30,13 @@
 namespace coppelia::rtl
 {
 
-namespace compile
-{
-class CompiledModel;
-}
-
 class Schedule;
 class Simulator;
 
 /**
- * Which execution substrate a Simulator uses. Interpret sweeps the
- * design's levelized Schedule every settle; Compiled runs the same
- * schedule as straight-line machine code generated once per design by
- * src/rtl/compile/ (falling back to Interpret, with a warning, when no
- * host toolchain is available). Both are bit-for-bit equivalent —
- * tests/test_sim_compiled.cc holds them to that over the full bug matrix.
- */
-enum class SimBackend
-{
-    Interpret,
-    Compiled,
-};
-
-const char *simBackendName(SimBackend backend);
-bool parseSimBackendName(const std::string &name, SimBackend *out);
-
-/**
  * Per-cycle simulation hook: attached observers see the settled post-edge
  * state after every step(). Used by the instruction fuzzer's coverage map;
- * the dispatch is a single null-pointer test on the hot path and the whole
- * mechanism compiles out with COPPELIA_NO_SIM_OBSERVERS.
+ * the dispatch is a single null-pointer test on the hot path.
  */
 class StepObserver
 {
@@ -74,20 +51,7 @@ class StepObserver
 class Simulator
 {
   public:
-    explicit Simulator(const Design &design,
-                       SimBackend backend = SimBackend::Interpret);
-
-    /** The backend actually in use (Compiled requests fall back to
-     *  Interpret when the codegen backend is unavailable). */
-    SimBackend backend() const
-    {
-        return compiled_ != nullptr ? SimBackend::Compiled
-                                    : SimBackend::Interpret;
-    }
-
-    /** Whether SimBackend::Compiled works here (probes the toolchain on
-     *  first call). */
-    static bool compiledBackendAvailable();
+    explicit Simulator(const Design &design);
 
     /** Reset: registers take their reset values, inputs go to zero. */
     void reset();
@@ -131,47 +95,26 @@ class Simulator
 
     /**
      * Attach (or with nullptr detach) the per-cycle observer. At most one
-     * observer is attached at a time; the pointer is not owned. A no-op
-     * when observers are compiled out (COPPELIA_NO_SIM_OBSERVERS).
+     * observer is attached at a time; the pointer is not owned.
      */
-    void
-    setObserver(StepObserver *observer)
-    {
-#ifndef COPPELIA_NO_SIM_OBSERVERS
-        observer_ = observer;
-#else
-        (void)observer;
-#endif
-    }
+    void setObserver(StepObserver *observer) { observer_ = observer; }
 
-    StepObserver *
-    observer() const
-    {
-#ifndef COPPELIA_NO_SIM_OBSERVERS
-        return observer_;
-#else
-        return nullptr;
-#endif
-    }
+    StepObserver *observer() const { return observer_; }
 
   private:
     /** Run the settle pass on the current inputs and registers. */
     void settle();
 
     const Design &design_;
-    /** Exactly one is set: the shared compiled model, or the schedule the
-     *  interpreter sweeps (built on first simulation, shared by copies). */
-    std::shared_ptr<const compile::CompiledModel> compiled_;
+    /** The schedule every settle and latch sweeps, shared by copies. */
     std::shared_ptr<const Schedule> schedule_;
-    /** Signal words by SignalId; the interpreter's schedule slots follow. */
+    /** Signal words by SignalId; the schedule's slots follow. */
     std::vector<std::uint64_t> state_;
     /** No input or register changed since the last settle. */
     bool settled_ = false;
     std::uint64_t evalCount_ = 0;
     std::uint64_t cycle_ = 0;
-#ifndef COPPELIA_NO_SIM_OBSERVERS
     StepObserver *observer_ = nullptr;
-#endif
 };
 
 } // namespace coppelia::rtl

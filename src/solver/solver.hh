@@ -70,13 +70,16 @@ enum class Result
 };
 
 /**
- * Placeholder for a deleted solver setting: the `solverRewrite`,
+ * Placeholder for a deleted setting: the `solverRewrite`,
  * `solverPreprocess`, `solverAdaptive`, `solverThreads`,
  * `solverPortfolio` and `solverCubeBudget` members of
- * campaign::CampaignSpec, bse::Options and bmc::BmcOptions. It holds no
- * value and nothing converts to it, so no code can set or read them.
- * The type exists only because `perfbench/perfbench.cc` still copies
- * those six members between the option structs.
+ * campaign::CampaignSpec, bse::Options and bmc::BmcOptions, and the
+ * simulation-backend members `simBackend` of campaign::CampaignSpec,
+ * core::CoppeliaOptions and bmc::BmcOptions and `backend` of
+ * fuzz::FuzzOptions. It holds no value and nothing converts to it, so no
+ * code can set or read them. The type exists only because
+ * `perfbench/perfbench.cc` still copies those members between the
+ * option structs.
  */
 struct RemovedOption
 {

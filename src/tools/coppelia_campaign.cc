@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
-#include "rtl/sim.hh"
 #include "monitor/monitor.hh"
 #include "trace/fold.hh"
 #include "util/logging.hh"
@@ -61,11 +60,6 @@ usage(const char *argv0)
         "                     once at 4N, then marks its job incomplete\n"
         "  --no-minimize      skip learnt-clause minimization in conflict\n"
         "                     analysis\n"
-        "  --sim-backend interpret|compiled  concrete simulation\n"
-        "                     substrate for replay and fuzzing (compiled\n"
-        "                     falls back to interpret, with a warning,\n"
-        "                     when no host toolchain works)\n"
-        "  --require-backend  make that fallback a fatal error\n"
         "  --out DIR          output directory (default: .)\n"
         "  --artifacts DIR    per-job forensics artifacts (solver query\n"
         "                     logs, search-recorder streams; default:\n"
@@ -119,8 +113,6 @@ main(int argc, char **argv)
     bool no_incremental = false;
     bool no_minimize = false;
     int fuzz_execs = -1, fuzz_stream = -1, fuzz_handoffs = -1;
-    int sim_backend = -1; // index into rtl::SimBackend; -1 = not set
-    bool require_backend = false;
     std::string trace_file;
     std::string artifact_dir;
     int monitor_port = -2; // -1 = spec default off; >= 0 = serve
@@ -217,15 +209,6 @@ main(int argc, char **argv)
             no_incremental = true;
         } else if (arg == "--no-minimize") {
             no_minimize = true;
-        } else if (arg == "--sim-backend") {
-            const std::string name = value(i, "--sim-backend");
-            rtl::SimBackend backend;
-            if (!rtl::parseSimBackendName(name, &backend))
-                badArg(argv[0], "unknown sim backend '" + name +
-                                    "' (interpret or compiled)");
-            sim_backend = static_cast<int>(backend);
-        } else if (arg == "--require-backend") {
-            require_backend = true;
         } else if (arg == "--conflict-budget") {
             conflict_budget = numeric(i, "--conflict-budget", to_ll);
             if (conflict_budget < -1)
@@ -287,10 +270,6 @@ main(int argc, char **argv)
         spec.fuzzMaxStream = fuzz_stream;
     if (fuzz_handoffs >= 0)
         spec.fuzzHandoffs = fuzz_handoffs;
-    if (sim_backend >= 0)
-        spec.simBackend = static_cast<rtl::SimBackend>(sim_backend);
-    if (require_backend)
-        spec.requireBackend = true;
     if (!trace_file.empty())
         spec.traceFile = trace_file;
     if (!artifact_dir.empty())

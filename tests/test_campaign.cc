@@ -31,6 +31,8 @@
 #include "campaign/campaign.hh"
 #include "campaign/scheduler.hh"
 #include "campaign/spec.hh"
+#include "core/coppelia.hh"
+#include "fuzz/fuzzer.hh"
 #include "metrics/metrics.hh"
 #include "solver/solver.hh"
 #include "util/json.hh"
@@ -209,8 +211,7 @@ TEST(CampaignSpec, OnOffDirectivesAcceptOnlyOnAndOff)
         std::istringstream in(text);
         return campaign::parseSpec(in);
     };
-    for (const char *key : {"incremental", "minimize", "require-backend",
-                            "payload", "replay"}) {
+    for (const char *key : {"incremental", "minimize", "payload", "replay"}) {
         SCOPED_TRACE(key);
         parse(std::string(key) + " on\n");
         parse(std::string(key) + " off\n");
@@ -229,10 +230,12 @@ TEST(CampaignSpec, OnOffDirectivesAcceptOnlyOnAndOff)
 
 TEST(CampaignSpec, RemovedDirectivesAreUnknown)
 {
-    // The deleted solver settings, and `retries`: every job runs once.
-    for (const char *line : {"rewrite on\n", "preprocess on\n",
-                             "solver-threads 4\n", "portfolio on\n",
-                             "cube-budget 0\n", "retries 1\n"}) {
+    // The deleted solver settings; `retries`, as every job runs once; and
+    // the simulation backend, as every job simulates on one schedule.
+    for (const char *line :
+         {"rewrite on\n", "preprocess on\n", "solver-threads 4\n",
+          "portfolio on\n", "cube-budget 0\n", "retries 1\n",
+          "sim-backend compiled\n", "require-backend on\n"}) {
         SCOPED_TRACE(line);
         std::istringstream in(line);
         EXPECT_EXIT(campaign::parseSpec(in), ::testing::ExitedWithCode(1),
@@ -311,6 +314,12 @@ TEST(CampaignSpec, RemovedSolverSettingsCopyAcrossOptionStructs)
     bmc.solverThreads = spec.solverThreads;
     bmc.solverPortfolio = spec.solverPortfolio;
     bmc.solverCubeBudget = spec.solverCubeBudget;
+    // The deleted simulation-backend settings, copied likewise.
+    core::CoppeliaOptions exploit;
+    exploit.simBackend = spec.simBackend;
+    bmc.simBackend = spec.simBackend;
+    fuzz::FuzzOptions fuzz;
+    fuzz.backend = spec.simBackend;
 }
 
 // --- Real exploit-generation campaigns ---------------------------------

@@ -187,14 +187,7 @@ TEST(StreamGenerator, SpliceStaysWithinParentsAndBound)
 
 // ---------------------------------------------------------------------------
 // Coverage map: exact point accounting on the toy design.
-//
-// Everything between here and the matching #endif needs the per-cycle
-// observer hook to actually fire: with COPPELIA_SIM_OBSERVERS=OFF the
-// fuzzer still runs (mutation + oracle) but gets no coverage feedback,
-// so these feedback-dependent tests are compiled out with the hook.
 // ---------------------------------------------------------------------------
-
-#ifndef COPPELIA_NO_SIM_OBSERVERS
 
 TEST(CoverageMap, ExactPointAccountingOnToyDesign)
 {
@@ -300,8 +293,6 @@ TEST(StepObserver, DispatchAndDetach)
     EXPECT_EQ(obs.calls, 2);
 }
 
-#endif // COPPELIA_NO_SIM_OBSERVERS
-
 TEST(StepObserver, StepIsAllocationFreeWithNoObserver)
 {
     Design d = toyMachine();
@@ -387,12 +378,7 @@ TEST(DivergenceOracle, SilentOnCorrectCoreForKnownTriggers)
 // Fuzzer: rediscovers injected Table II bugs on fixed seeds and minimizes
 // each divergence to (at most) the known trigger length; finds nothing on
 // the bug-free cores; reproduces exactly under a fixed seed.
-//
-// Rediscovery and the coverage assertions need the observer hook (no
-// feedback, no corpus growth), so this block also compiles out with it.
 // ---------------------------------------------------------------------------
-
-#ifndef COPPELIA_NO_SIM_OBSERVERS
 
 struct RediscoveryCase
 {
@@ -480,8 +466,6 @@ TEST(Fuzzer, NoDivergenceOnBugFreeCore)
     }
 }
 
-#endif // COPPELIA_NO_SIM_OBSERVERS
-
 TEST(Fuzzer, RunsReproduceExactlyUnderAFixedSeed)
 {
     rtl::Design d =
@@ -518,12 +502,8 @@ TEST(FuzzJob, RunsThroughTheCampaignRunner)
     EXPECT_EQ(r.status, campaign::JobStatus::Completed);
     EXPECT_GT(r.fuzzExecs, 0);
     EXPECT_GT(r.fuzzInstructions, 0u);
-#ifndef COPPELIA_NO_SIM_OBSERVERS
-    // Coverage feedback needs the observer hook; the job itself runs
-    // (degraded to blind mutation) even with the hook compiled out.
     EXPECT_GT(r.fuzzCoveragePoints, 0u);
     EXPECT_GT(r.fuzzCoverageTotal, r.fuzzCoveragePoints);
-#endif
     if (r.found) {
         EXPECT_TRUE(r.replayable);
         ASSERT_GE(r.fuzzStreams.size(), 1u);

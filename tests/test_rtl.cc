@@ -8,7 +8,6 @@
  * settle skip against a simulator that settles every time.
  */
 
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,14 +24,6 @@
 
 namespace coppelia::rtl
 {
-
-/** Names a backend in parameterized test output. */
-void
-PrintTo(SimBackend backend, std::ostream *os)
-{
-    *os << simBackendName(backend);
-}
-
 namespace
 {
 
@@ -575,28 +566,13 @@ expectMatches(const Design &d, const Simulator &sim, const ReferenceSim &ref,
             << ctx << ": signal " << d.signal(sig).name;
 }
 
-/** The settle skip, on each backend; the compiled half needs a host
- *  toolchain to build its model. */
-class SettleSkip : public ::testing::TestWithParam<SimBackend>
-{
-  protected:
-    void
-    SetUp() override
-    {
-        if (GetParam() == SimBackend::Compiled &&
-            !Simulator::compiledBackendAvailable())
-            GTEST_SKIP() << "codegen backend unavailable (no toolchain)";
-    }
-};
-
-TEST_P(SettleSkip, ChangeAfterEvalCombIsSettledBeforeTheLatch)
+TEST(SettleSkip, ChangeAfterEvalCombIsSettledBeforeTheLatch)
 {
     const Design d = cpu::or1k::buildOr1200();
     const SignalId insn = d.signalIdOf("insn");
     const SignalId rdata = d.signalIdOf("dmem_rdata");
     const SignalId gpr3 = d.signalIdOf("gpr3");
-    Simulator sim(d, GetParam());
-    ASSERT_EQ(sim.backend(), GetParam());
+    Simulator sim(d);
     ReferenceSim ref(d);
     Rng rng(0x5E77'1E01ull);
     for (int i = 0; i < 64; ++i) {
@@ -620,15 +596,14 @@ TEST_P(SettleSkip, ChangeAfterEvalCombIsSettledBeforeTheLatch)
     }
 }
 
-TEST_P(SettleSkip, CopiedSimulatorSettlesItsOwnInputChange)
+TEST(SettleSkip, CopiedSimulatorSettlesItsOwnInputChange)
 {
     // The replay probe: settle, copy, change the copy's read data, and
     // step both.
     const Design d = cpu::or1k::buildOr1200();
     const SignalId insn = d.signalIdOf("insn");
     const SignalId rdata = d.signalIdOf("dmem_rdata");
-    Simulator sim(d, GetParam());
-    ASSERT_EQ(sim.backend(), GetParam());
+    Simulator sim(d);
     ReferenceSim ref(d);
     Rng rng(0x5E77'1E02ull);
     for (int i = 0; i < 32; ++i) {
@@ -652,13 +627,6 @@ TEST_P(SettleSkip, CopiedSimulatorSettlesItsOwnInputChange)
         expectMatches(d, sim, ref, ctx);
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, SettleSkip,
-    ::testing::Values(SimBackend::Interpret, SimBackend::Compiled),
-    [](const ::testing::TestParamInfo<SimBackend> &info) {
-        return std::string(simBackendName(info.param));
-    });
 
 } // namespace
 } // namespace coppelia::rtl

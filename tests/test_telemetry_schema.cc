@@ -154,7 +154,7 @@ TEST(TelemetrySchema, SchemaVersionIsPinnedAndEmittedFirst)
     // it is a deliberate act (update this test alongside the documented
     // history in telemetry.hh), and every record carries it as the first
     // key so consumers can dispatch before reading anything else.
-    EXPECT_EQ(kJsonlSchemaVersion, 5);
+    EXPECT_EQ(kJsonlSchemaVersion, 6);
     EXPECT_TRUE(schemaKeys().count("schema_version"));
     EXPECT_EQ(jsonlSchema().front().key, std::string("schema_version"));
     for (const JobRecord &rec : {exploitRecord(), bmcRecord(), fuzzRecord()}) {
