@@ -329,7 +329,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         // Live search heartbeat: iteration count and frontier depth land
         // in this worker's slot every iteration, so the scheduler's
         // stall detector (and /status) can tell "still iterating" from
-        // "wedged inside one solve" long before the watchdog deadline.
+        // "wedged inside one solve" while the search runs.
         static metrics::Counter *iterations_total = metrics::counter(
             "bse_iterations",
             "backward-engine One Instruction Generation iterations");

@@ -265,9 +265,9 @@ runCampaign(const CampaignSpec &spec, std::ostream *telemetry,
 
     SchedulerOptions sched_opts;
     sched_opts.workers = spec.workers;
-    // Stall warnings fire well before the watchdog deadline (2x limit +
-    // 10s): a search that has not beaten its heartbeat for a third of
-    // its budget is wedged inside one solver call.
+    // A search that has not beaten its heartbeat for a third of its time
+    // limit is wedged inside one solver call. The warning names it;
+    // nothing stops the job.
     sched_opts.stallWarnSeconds =
         spec.jobTimeLimitSeconds > 0.0
             ? std::max(5.0, spec.jobTimeLimitSeconds / 3.0)
@@ -279,18 +279,11 @@ runCampaign(const CampaignSpec &spec, std::ostream *telemetry,
         Task task;
         task.label = std::string(jobKindName(job.kind)) + ":" +
                      cpu::bugName(job.bug);
-        // Generous watchdog margin over the engine's own wall-clock
-        // limit: the engine self-terminates; the watchdog only reaps
-        // jobs stuck outside the solver loop.
-        const double limit = job.timeLimitSeconds > 0.0
-                                 ? job.timeLimitSeconds
-                                 : spec.jobTimeLimitSeconds;
-        task.timeoutSeconds = limit > 0.0 ? limit * 2.0 + 10.0 : 0.0;
         task.fn = [&spec, &store, &job, i](const TaskContext &ctx) {
             const std::uint64_t seed =
                 deriveJobSeed(spec.seed, static_cast<int>(i), 0);
             smt::querylog::context().job = static_cast<int>(i);
-            JobResult result = runJob(spec, job, seed, ctx.cancel);
+            JobResult result = runJob(spec, job, seed);
             smt::querylog::context().job = -1;
             // Drain this worker's forensics buffers: the next job on this
             // thread must start clean.

@@ -1,12 +1,17 @@
 /**
  * @file
  * The campaign orchestrator: expands a CampaignSpec into its job matrix,
- * executes it on the work-stealing scheduler (each job isolated in its
+ * executes it on the scheduler's worker pool (each job isolated in its
  * own design elaboration and solver), and collects records, aggregate
- * statistics, and scheduler accounting. This is the batch engine behind
+ * statistics, and the pool's wall time. This is the batch engine behind
  * the `coppelia-campaign` CLI and the Table II/VI benchmark harnesses.
  *
- * Each job runs once and leaves one record. A job whose search ran out
+ * Each job runs once, to its own end, and leaves one record. The time
+ * limit bounds each search, not the job: an exploit job runs at most
+ * four searches (incremental, fresh fallback, and both again with the
+ * assertion state pinned the other way), BMC checks the limit at each
+ * depth, and a fuzz job runs its loop and then `fuzzHandoffs` hand-offs
+ * of up to two quarter-limit searches each. A job whose search ran out
  * of budget is recorded as completed with that outcome: the exploit and
  * BMC searches read no seed, so running one again would replay it.
  */

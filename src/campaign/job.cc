@@ -22,7 +22,6 @@ jobStatusName(JobStatus s)
     switch (s) {
       case JobStatus::Completed: return "completed";
       case JobStatus::NoAssertion: return "no-assertion";
-      case JobStatus::Cancelled: return "cancelled";
     }
     return "?";
 }
@@ -128,7 +127,7 @@ jobTimeLimit(const CampaignSpec &spec, const JobSpec &job)
 JobResult
 runExploitJob(const CampaignSpec &spec, const JobSpec &job,
               const rtl::Design &design, const props::Assertion &assertion,
-              std::uint64_t seed, const CancelToken *cancel)
+              std::uint64_t seed)
 {
     core::CoppeliaOptions opts;
     opts.addPayload = spec.addPayload;
@@ -154,15 +153,12 @@ runExploitJob(const CampaignSpec &spec, const JobSpec &job,
     out.solverIncomplete = res.solverIncomplete;
     out.seconds = res.seconds;
     out.stats = res.stats;
-    if (cancel && cancel->cancelled())
-        out.status = JobStatus::Cancelled;
     return out;
 }
 
 JobResult
 runBmcJob(const CampaignSpec &spec, const JobSpec &job,
-          const rtl::Design &design, const props::Assertion &assertion,
-          const CancelToken *cancel)
+          const rtl::Design &design, const props::Assertion &assertion)
 {
     bmc::BmcOptions opts;
     opts.preset = job.kind == JobKind::BmcIfv ? bmc::Preset::IfvLike
@@ -193,23 +189,19 @@ runBmcJob(const CampaignSpec &spec, const JobSpec &job,
     out.triggerInstructions = res.found ? res.depth : 0;
     out.seconds = res.seconds;
     out.stats = res.stats;
-    if (cancel && cancel->cancelled())
-        out.status = JobStatus::Cancelled;
     return out;
 }
 
 JobResult
 runFuzzJob(const CampaignSpec &spec, const JobSpec &job,
            const rtl::Design &design, const props::Assertion *assertion,
-           std::uint64_t seed, const CancelToken *cancel)
+           std::uint64_t seed)
 {
     fuzz::FuzzOptions opts;
     opts.seed = seed;
     opts.maxExecs = spec.fuzzExecs;
     opts.maxStreamLen = spec.fuzzMaxStream;
     opts.timeLimitSeconds = jobTimeLimit(spec, job);
-    if (cancel)
-        opts.stopRequested = [cancel] { return cancel->cancelled(); };
 
     fuzz::Fuzzer fuzzer(design, job.processor, opts);
     const fuzz::FuzzResult res = fuzzer.run();
@@ -234,8 +226,7 @@ runFuzzJob(const CampaignSpec &spec, const JobSpec &job,
 
     // Concolic hand-off: when the bug has an assertion, run a
     // short-horizon BSEE search from the highest-proximity corpus states.
-    const bool cancelled = cancel && cancel->cancelled();
-    if (assertion && spec.fuzzHandoffs > 0 && !cancelled) {
+    if (assertion && spec.fuzzHandoffs > 0) {
         fuzz::ConcolicBridge bridge(design, job.processor, *assertion);
         std::vector<std::pair<int, const std::vector<std::uint32_t> *>>
             ranked;
@@ -263,8 +254,6 @@ runFuzzJob(const CampaignSpec &spec, const JobSpec &job,
         for (const auto &[prox, prefix] : ranked) {
             if (attempts >= spec.fuzzHandoffs || prox <= 0)
                 break;
-            if (cancel && cancel->cancelled())
-                break;
             ++attempts;
             const fuzz::HandoffOutcome ho =
                 bridge.attempt(*prefix, hopts, base);
@@ -281,17 +270,13 @@ runFuzzJob(const CampaignSpec &spec, const JobSpec &job,
             }
         }
     }
-
-    if (cancel && cancel->cancelled())
-        out.status = JobStatus::Cancelled;
     return out;
 }
 
 } // namespace
 
 JobResult
-runJob(const CampaignSpec &spec, const JobSpec &job, std::uint64_t seed,
-       const CancelToken *cancel)
+runJob(const CampaignSpec &spec, const JobSpec &job, std::uint64_t seed)
 {
     // The job span nests the whole cell — elaboration, assertion binding,
     // search, replay — on the executing worker's track; a campaign with
@@ -328,16 +313,15 @@ runJob(const CampaignSpec &spec, const JobSpec &job, std::uint64_t seed,
         if (job.kind == JobKind::Fuzz) {
             // The fuzzer's divergence oracle needs no assertion; one only
             // gates the concolic hand-off stage.
-            out = runFuzzJob(spec, job, design, assertion, seed, cancel);
+            out = runFuzzJob(spec, job, design, assertion, seed);
             if (assertion)
                 out.assertionId = assertion->id;
         } else if (!assertion) {
             out.status = JobStatus::NoAssertion;
         } else {
             out = job.kind == JobKind::Exploit
-                      ? runExploitJob(spec, job, design, *assertion, seed,
-                                      cancel)
-                      : runBmcJob(spec, job, design, *assertion, cancel);
+                      ? runExploitJob(spec, job, design, *assertion, seed)
+                      : runBmcJob(spec, job, design, *assertion);
             out.assertionId = assertion->id;
         }
     }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bse/engine.hh"
-#include "campaign/scheduler.hh"
 #include "campaign/spec.hh"
 #include "util/stats.hh"
 
@@ -33,7 +32,6 @@ enum class JobStatus
 {
     Completed,   ///< ran to its own conclusion (found or exhausted)
     NoAssertion, ///< the bug has no assertion on this core; nothing to run
-    Cancelled,   ///< the watchdog cancelled the job past its deadline
 };
 
 const char *jobStatusName(JobStatus s);
@@ -89,14 +87,13 @@ struct JobResult
 };
 
 /**
- * Run one job. Only fuzz jobs read @p seed (it drives the fuzzer's
- * mutations); exploit and BMC jobs give the same result at every seed.
- * The same (spec, job, seed) triple reproduces the same result.
- * @p cancel is the scheduler's cancellation token (may be null); only
- * fuzz jobs poll it.
+ * Run one job to its end. Only fuzz jobs read @p seed (it drives the
+ * fuzzer's mutations); exploit and BMC jobs give the same result at
+ * every seed. The same (spec, job, seed) triple reproduces the same
+ * result. The job's time limit bounds each search it runs, not the job.
  */
 JobResult runJob(const CampaignSpec &spec, const JobSpec &job,
-                 std::uint64_t seed, const CancelToken *cancel);
+                 std::uint64_t seed);
 
 /**
  * The seed for job @p index, derived from the campaign base seed with

@@ -1,24 +1,22 @@
 /**
  * @file
- * Worker thread pool with a work-stealing queue, per-task cancellation
- * tokens and timeout enforcement. The scheduler is generic — tasks are
- * closures — so the policy machinery (stealing, watchdog, stall
- * warnings) is testable with synthetic workloads independently of the
- * exploit-generation jobs the campaign layer submits. Every submitted
- * task runs exactly once.
+ * Worker thread pool for a fixed list of independent tasks. The
+ * scheduler is generic — tasks are closures — so its policy (start
+ * order, stall warnings) is testable with synthetic workloads
+ * independently of the exploit-generation jobs the campaign layer
+ * submits. Every submitted task runs exactly once.
  *
  * Execution model:
- *  - Each worker owns a deque. Tasks are dealt round-robin; a worker
- *    pops from the back of its own deque and, when empty, steals from
- *    the front of the busiest victim's deque. Nothing is queued after
- *    the deal, so a worker that finds its own deque and every victim's
- *    empty exits.
- *  - Every running task gets a CancelToken. A watchdog thread scans the
- *    running set and cancels tasks past their deadline. The token only
- *    stops a task that polls it: of the campaign's jobs, fuzz jobs poll
- *    it per execution and between hand-offs, while exploit and BMC jobs
- *    stop on their own wall-clock limit and are labelled cancelled after
- *    they return.
+ *  - One atomic cursor counts the tasks not yet started. A free worker
+ *    decrements it and runs the task it lands on, so tasks start
+ *    last-submitted first: one worker runs them in reverse submission
+ *    order. No task adds work, so a worker that finds the cursor spent
+ *    exits.
+ *  - The pool never stops a task: each one bounds itself (the campaign's
+ *    jobs stop on their own time limits). A watchdog thread keeps the
+ *    per-worker gauges current and logs one structured warning for a
+ *    running task whose last progress signal (its metrics heartbeat, or
+ *    the task start) is older than the stall threshold.
  */
 
 #ifndef COPPELIA_CAMPAIGN_SCHEDULER_HH
@@ -26,14 +24,11 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "metrics/metrics.hh"
@@ -41,37 +36,17 @@
 namespace coppelia::campaign
 {
 
-/** Cancellation flag shared between a task and the watchdog. */
-class CancelToken
-{
-  public:
-    void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-    bool
-    cancelled() const
-    {
-        return cancelled_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<bool> cancelled_{false};
-};
-
 /** Per-invocation context handed to a task. */
 struct TaskContext
 {
     int taskId = 0;   ///< submission index
     int workerId = 0; ///< executing worker
-    const CancelToken *cancel = nullptr;
-
-    bool cancelled() const { return cancel && cancel->cancelled(); }
 };
 
 /** One schedulable unit. */
 struct Task
 {
     std::function<void(const TaskContext &)> fn;
-    /** Wall-clock budget; 0 disables the watchdog for it. */
-    double timeoutSeconds = 0.0;
     std::string label;
 };
 
@@ -80,12 +55,9 @@ struct SchedulerOptions
 {
     /** Worker threads; 0 = hardware concurrency (at least 1). */
     int workers = 0;
-    /** Watchdog scan period. */
-    double watchdogPeriodSeconds = 0.01;
     /** Log a structured stall warning when a running task's last
      *  progress signal (its metrics heartbeat, or the task start) is
-     *  older than this — an early tell, well before the watchdog
-     *  deadline kill. 0 disables stall detection. */
+     *  older than this. 0 disables stall detection. */
     double stallWarnSeconds = 0.0;
 };
 
@@ -94,8 +66,6 @@ struct SchedulerReport
 {
     int workers = 0;
     int tasksSubmitted = 0;
-    int timeouts = 0; ///< tasks cancelled by the watchdog
-    int steals = 0;   ///< tasks executed by a worker that stole them
     double wallSeconds = 0.0;
 };
 
@@ -128,11 +98,11 @@ class Scheduler
     /** Submit a task; only valid before runAll(). @return task id. */
     int add(Task task);
 
-    /** Execute everything; blocks until the queue drains. */
+    /** Execute everything; blocks until every task has returned. */
     SchedulerReport runAll();
 
-    /** Tasks sitting in worker deques right now (excludes running ones).
-     *  Safe to call from any thread while runAll() is live. */
+    /** Tasks not yet started. Safe to call from any thread while
+     *  runAll() is live. */
     std::size_t queuedTasks() const;
 
     /** Tasks not yet finished (queued + running). */
@@ -142,27 +112,10 @@ class Scheduler
     std::vector<WorkerSnapshot> workerSnapshots() const;
 
   private:
-    struct QueuedTask
-    {
-        int id;
-        int homeWorker; ///< deque the task was dealt to
-    };
-
-    struct WorkerQueue
-    {
-        std::mutex mu;
-        std::deque<QueuedTask> q;
-    };
-
     struct RunningSlot
     {
         std::mutex mu;
-        CancelToken *token = nullptr;
-        std::chrono::steady_clock::time_point deadline;
-        bool hasDeadline = false;
-        bool timedOut = false;
-        // Live-monitoring state for the task currently in the slot.
-        int taskId = -1;
+        int taskId = -1; ///< task in the slot; -1 while the worker idles
         std::uint64_t startUs = 0; ///< metrics::nowUs() at task start
         bool stallWarned = false;
         /** The worker thread's heartbeat slot (tasks publish progress
@@ -172,29 +125,30 @@ class Scheduler
 
     void workerLoop(int worker_id);
     void watchdogLoop();
+    void warnIfStalled(std::size_t worker, RunningSlot &slot,
+                       std::uint64_t now_us);
     void updateWorkerMetrics();
-    bool popLocal(int worker_id, QueuedTask *out);
-    bool steal(int thief_id, QueuedTask *out);
-    void runOne(int worker_id, QueuedTask task);
+    void runOne(int worker_id, int task_id);
     WorkerSnapshot snapshotSlot(int worker, RunningSlot &slot) const;
 
     SchedulerOptions opts_;
     std::vector<Task> tasks_;
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
     std::vector<std::unique_ptr<RunningSlot>> running_;
+    /** Tasks not yet started: the next worker to decrement it runs task
+     *  `next_ - 1`. Goes negative once every task has started. */
+    std::atomic<int> next_{0};
     std::atomic<int> pending_{0}; ///< tasks not yet finished
     std::atomic<bool> shutdown_{false};
 
-    /** Guards the queues_/running_ vectors themselves (rebuilt at the
-     *  top of runAll) against the monitor's concurrent accessors; the
-     *  per-queue/per-slot mutexes still guard their contents. */
+    /** Guards the running_ vector itself (rebuilt at the top of runAll)
+     *  against the monitor's concurrent accessors; the per-slot mutexes
+     *  still guard their contents. */
     mutable std::mutex structMu_;
     /** Per-worker live gauges (busy, task id, seconds in job), indexed
      *  by worker; registered on first runAll() with that worker count. */
     std::vector<std::array<metrics::Gauge *, 3>> workerGauges_;
 
-    std::mutex reportMu_;
     SchedulerReport report_;
 };
 

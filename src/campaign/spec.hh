@@ -3,8 +3,8 @@
  * Declarative campaign specifications. A campaign is a *matrix* of
  * independent exploit-generation (and baseline model-checking) jobs — one
  * per (processor × bug × assertion) triple, the shape of the paper's
- * Tables II and VI — plus the execution policy: worker count, per-job
- * time/iteration budgets, and the base seed from which every job derives
+ * Tables II and VI — plus the execution policy: worker count, per-search
+ * time and iteration budgets, and the base seed from which every job derives
  * its own deterministic RNG stream (only fuzz jobs read it).
  *
  * Specs can be built programmatically (the benchmark harnesses do) or
@@ -69,7 +69,8 @@ struct JobSpec
     cpu::BugId bug = cpu::BugId::b01;
     /** Assertion id to target; empty = the bug's associated assertion. */
     std::string assertionId;
-    /** Per-job wall-clock budget; 0 = inherit the campaign default. */
+    /** Wall-clock limit of each search the job runs; 0 = inherit the
+     *  campaign default. */
     double timeLimitSeconds = 0.0;
 };
 
@@ -83,7 +84,8 @@ struct CampaignSpec
      *  jobs read it: exploit and BMC searches give the same result at
      *  every seed. */
     std::uint64_t seed = 0x434f5050454c4941ull;
-    /** Default per-job wall-clock budget in seconds (0 = unlimited). */
+    /** Default wall-clock limit in seconds of each search a job runs
+     *  (0 = unlimited); runJob says how many searches a job may run. */
     double jobTimeLimitSeconds = 90.0;
     /** Engine iteration budgets (bse::Options::{bound,maxFeedbackRounds}). */
     int bound = 6;

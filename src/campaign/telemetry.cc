@@ -22,8 +22,8 @@ jsonlSchema()
         {"processor", "processor the design was elaborated for"},
         {"bug", "bug id from the registry (bNN)"},
         {"assertion", "assertion id actually targeted"},
-        {"status", "how the job ran: completed, no-assertion, or "
-                   "cancelled (what it found is in outcome/found)"},
+        {"status", "how the job ran: completed or no-assertion (what it "
+                   "found is in outcome/found)"},
         {"outcome", "engine outcome (exploit kind only): found, "
                     "no-violation, bound-exceeded, budget-exhausted"},
         {"found", "a violation was found"},
@@ -329,8 +329,6 @@ writeSummary(std::ostream &out, const CampaignSpec &spec,
             << fmt1(report.wallSeconds) << "s wall ("
             << fmt1(cpu_seconds / report.wallSeconds) << "x)\n";
     }
-    out << "scheduler: " << report.timeouts << " timeouts, "
-        << report.steals << " steals\n";
 }
 
 } // namespace coppelia::campaign

@@ -48,11 +48,14 @@ namespace coppelia::campaign
  *      `completed` with outcome `budget-exhausted`)
  *   6  removes `sim_backend`: every job simulates on the one levelized
  *      schedule (rtl::Simulator), so there is no substrate to name
+ *   7  removes the `cancelled` status: the scheduler never stops a job,
+ *      each search stops on its own time limit, so `status` is
+ *      `completed` or `no-assertion`
  *
  * Bump it whenever a documented field changes meaning, is removed, or
  * is renamed; adding a field is backward compatible and does not bump.
  */
-constexpr int kJsonlSchemaVersion = 6;
+constexpr int kJsonlSchemaVersion = 7;
 
 /**
  * One documented top-level field of the JSONL record. The schema is a
@@ -80,7 +83,8 @@ void writeJsonlRecord(std::ostream &out, const JobRecord &record);
  * Write the end-of-run summary: per-processor tables in the Table II/VI
  * layout (paper-reported columns from the bug registry beside measured
  * ones, baseline columns when the campaign ran baseline jobs), campaign
- * totals, scheduler accounting, and the §IV-E performance digest.
+ * totals, the §IV-E performance digest, and the job time the pool ran
+ * in its wall time.
  */
 void writeSummary(std::ostream &out, const CampaignSpec &spec,
                   const std::vector<JobRecord> &records,

@@ -144,8 +144,6 @@ Fuzzer::run()
         if (opts_.timeLimitSeconds > 0.0 &&
             timer.seconds() >= opts_.timeLimitSeconds)
             return true;
-        if (opts_.stopRequested && opts_.stopRequested())
-            return true;
         return false;
     };
 

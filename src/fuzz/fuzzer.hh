@@ -23,7 +23,6 @@
 #define COPPELIA_FUZZ_FUZZER_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -41,14 +40,12 @@ struct FuzzOptions
 {
     /** Seed for every random choice (stream generation and mutation). */
     std::uint64_t seed = 1;
-    /** Stream executions to run (0 = unlimited, bound by time/stop). */
+    /** Stream executions to run (0 = unlimited, bound by time). */
     int maxExecs = 1024;
     /** Longest stream the generator and mutators will build. */
     int maxStreamLen = 24;
     /** Wall-clock limit in seconds (0 = unlimited). */
     double timeLimitSeconds = 0.0;
-    /** External cancellation hook, polled once per execution. */
-    std::function<bool()> stopRequested;
     /** Deleted setting; see smt::RemovedOption. */
     smt::RemovedOption backend;
 };

@@ -198,9 +198,9 @@ json::Value snapshotJson(const Snapshot &snap);
 /**
  * Per-thread search heartbeat: a long-running phase stores its name and
  * up to two progress values every iteration, and the scheduler watchdog
- * reads the slot to age-check progress (structured stall warnings fire
- * on stale heartbeats well before the kill). @p phase must be a string
- * literal (or otherwise process-lifetime). Lock-free on both sides.
+ * reads the slot to age-check progress (a structured stall warning fires
+ * on a stale heartbeat). @p phase must be a string literal (or otherwise
+ * process-lifetime). Lock-free on both sides.
  */
 struct Heartbeat
 {

@@ -193,45 +193,9 @@ Design::beginProcess(const std::string &name)
     processByName_[name] = currentProcess_;
 }
 
-namespace
-{
-
-std::uint64_t
-hashExpr(const Expr &e)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ull;
-    };
-    mix(static_cast<std::uint64_t>(e.op));
-    mix(static_cast<std::uint64_t>(e.width));
-    for (ExprRef a : e.args)
-        mix(static_cast<std::uint64_t>(a) + 0x9e3779b9u);
-    mix(e.imm);
-    mix(static_cast<std::uint64_t>(e.sig) + 1);
-    mix((static_cast<std::uint64_t>(e.hi) << 32) |
-        static_cast<std::uint32_t>(e.lo));
-    return h;
-}
-
-} // namespace
-
 ExprRef
 Design::intern(Expr e)
 {
-    if (hashCons_) {
-        std::uint64_t h = hashExpr(e);
-        auto &bucket = consTable_[h];
-        for (ExprRef r : bucket) {
-            if (exprs_[r] == e)
-                return r;
-        }
-        exprs_.push_back(e);
-        ExprRef r = static_cast<ExprRef>(exprs_.size()) - 1;
-        bucket.push_back(r);
-        return r;
-    }
     exprs_.push_back(e);
     return static_cast<ExprRef>(exprs_.size()) - 1;
 }
@@ -606,10 +570,8 @@ Design::copyFrom(const Design &other)
     processes_ = other.processes_;
     signalByName_ = other.signalByName_;
     processByName_ = other.processByName_;
-    consTable_ = other.consTable_;
     branch_ = other.branch_;
     currentProcess_ = other.currentProcess_;
-    hashCons_ = other.hashCons_;
     invalidateTopo();
 }
 

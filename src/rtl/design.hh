@@ -16,9 +16,9 @@
  * the analog of LLVM instructions.
  *
  * Expression nodes are immutable and referenced by integer ExprRef; the
- * Design owns the node arena. Hash-consing (structural deduplication at
- * construction time) can be enabled per-design; it is one piece of the
- * "compiler optimizations" pipeline the paper's Table V measures.
+ * Design owns the node arena, and every construction appends a node.
+ * Sharing structurally equal nodes is the CSE stage of the "compiler
+ * optimizations" pipeline the paper's Table V measures (rtl/passes).
  */
 
 #ifndef COPPELIA_RTL_DESIGN_HH
@@ -139,10 +139,6 @@ class Design
 
     const std::string &name() const { return name_; }
 
-    /** Enable/disable hash-consing of newly created expression nodes. */
-    void setHashConsing(bool on) { hashCons_ = on; }
-    bool hashConsing() const { return hashCons_; }
-
     // --- signal management -------------------------------------------------
 
     /** Declare an input signal. */
@@ -251,10 +247,8 @@ class Design
     std::vector<Process> processes_;
     std::unordered_map<std::string, SignalId> signalByName_;
     std::unordered_map<std::string, int> processByName_;
-    std::unordered_map<std::uint64_t, std::vector<ExprRef>> consTable_;
     std::vector<bool> branch_; ///< per-expr control-branch flag
     int currentProcess_ = -1;
-    bool hashCons_ = false;
 
     mutable std::vector<SignalId> topo_;
     mutable bool topoValid_ = false;

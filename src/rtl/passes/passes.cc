@@ -1,6 +1,8 @@
 #include "rtl/passes/passes.hh"
 
+#include <map>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 
 #include "trace/trace.hh"
@@ -92,7 +94,9 @@ reachableExprs(const Design &design, const std::vector<ExprRef> &roots)
 
 /**
  * Rewriting copier: rebuilds an expression DAG in the destination design
- * with folding/identity rewrites applied bottom-up.
+ * with folding/identity rewrites applied bottom-up. With the CSE stage
+ * on, it builds no node twice: a node structurally equal to one it
+ * already built is shared.
  */
 class Rewriter
 {
@@ -153,9 +157,9 @@ class Rewriter
     {
         switch (e.op) {
           case Op::Const:
-            return dst_.constant(e.width, e.imm);
+            return constant(e.width, e.imm);
           case Op::Signal:
-            return dst_.signalExpr(e.sig);
+            return cons(e, [&] { return dst_.signalExpr(e.sig); });
           default:
             break;
         }
@@ -205,7 +209,7 @@ class Rewriter
         ExprRef node = emit(e, a, b, c);
         static const std::vector<Value> empty_env;
         Value v = dst_.eval(node, empty_env);
-        return dst_.constant(v.width(), v.bits());
+        return constant(v.width(), v.bits());
     }
 
     /** Algebraic identity rewrites; NoExpr when none applies. */
@@ -220,7 +224,7 @@ class Rewriter
         switch (e.op) {
           case Op::And:
             if ((ca && ka == 0) || (cb && kb == 0))
-                return dst_.constant(e.width, 0);
+                return constant(e.width, 0);
             if (ca && ka == ones)
                 return b;
             if (cb && kb == ones)
@@ -234,7 +238,7 @@ class Rewriter
             if (cb && kb == 0)
                 return a;
             if ((ca && ka == ones) || (cb && kb == ones))
-                return dst_.constant(e.width, ones);
+                return constant(e.width, ones);
             if (a == b)
                 return a;
             break;
@@ -244,7 +248,7 @@ class Rewriter
             if (cb && kb == 0)
                 return a;
             if (a == b)
-                return dst_.constant(e.width, 0);
+                return constant(e.width, 0);
             break;
           case Op::Add:
           case Op::Sub:
@@ -255,7 +259,7 @@ class Rewriter
             break;
           case Op::Mul:
             if ((ca && ka == 0) || (cb && kb == 0))
-                return dst_.constant(e.width, 0);
+                return constant(e.width, 0);
             if (ca && ka == 1)
                 return b;
             if (cb && kb == 1)
@@ -269,21 +273,21 @@ class Rewriter
             break;
           case Op::Eq:
             if (a == b)
-                return dst_.constant(1, 1);
+                return constant(1, 1);
             break;
           case Op::Ne:
           case Op::Ult:
             if (a == b)
-                return dst_.constant(1, 0);
+                return constant(1, 0);
             break;
           case Op::Ule:
           case Op::Sle:
             if (a == b)
-                return dst_.constant(1, 1);
+                return constant(1, 1);
             break;
           case Op::Slt:
             if (a == b)
-                return dst_.constant(1, 0);
+                return constant(1, 0);
             break;
           case Op::Not: {
             const Expr &ea = dst_.expr(a);
@@ -313,22 +317,52 @@ class Rewriter
     ExprRef
     emit(const Expr &e, ExprRef a, ExprRef b, ExprRef c)
     {
-        switch (e.op) {
-          case Op::Ite:
-            return dst_.ite(a, b, c);
-          case Op::Extract:
-            return dst_.extract(a, e.hi, e.lo);
-          case Op::ZExt:
-            return dst_.zext(a, e.width);
-          case Op::SExt:
-            return dst_.sext(a, e.width);
-          case Op::Concat:
-            return dst_.concat(a, b);
-          default:
-            if (opArity(e.op) == 1)
-                return dst_.unary(e.op, a);
-            return dst_.binary(e.op, a, b);
-        }
+        Expr key = e;
+        key.args = {a, b, c};
+        return cons(key, [&] {
+            switch (e.op) {
+              case Op::Ite:
+                return dst_.ite(a, b, c);
+              case Op::Extract:
+                return dst_.extract(a, e.hi, e.lo);
+              case Op::ZExt:
+                return dst_.zext(a, e.width);
+              case Op::SExt:
+                return dst_.sext(a, e.width);
+              case Op::Concat:
+                return dst_.concat(a, b);
+              default:
+                if (opArity(e.op) == 1)
+                    return dst_.unary(e.op, a);
+                return dst_.binary(e.op, a, b);
+            }
+        });
+    }
+
+    ExprRef
+    constant(int width, std::uint64_t bits)
+    {
+        Expr key;
+        key.width = width;
+        key.imm = bits & widthMask(width);
+        return cons(key, [&] { return dst_.constant(width, bits); });
+    }
+
+    /** The CSE stage: what @p build returned for an equal @p key
+     *  earlier, else what it returns now. */
+    template <typename Build>
+    ExprRef
+    cons(const Expr &key, Build build)
+    {
+        if (!opts_.cse)
+            return build();
+        auto [it, fresh] = consTable_.try_emplace(
+            std::tie(key.op, key.width, key.args, key.imm, key.sig, key.hi,
+                     key.lo),
+            NoExpr);
+        if (fresh)
+            it->second = build();
+        return it->second;
     }
 
     const Design &src_;
@@ -336,6 +370,10 @@ class Rewriter
     const PassOptions &opts_;
     PassStats &stats_;
     std::unordered_map<ExprRef, ExprRef> memo_;
+    std::map<std::tuple<Op, int, std::array<ExprRef, 3>, std::uint64_t,
+                        SignalId, int, int>,
+             ExprRef>
+        consTable_;
 };
 
 } // namespace
@@ -363,7 +401,6 @@ optimizeDesign(const Design &design, const PassOptions &opts,
     st.exprsBefore = liveExprCount(design, keep_roots);
 
     Design out(design.name());
-    out.setHashConsing(opts.cse);
 
     // Recreate the signal table with identical ids and names.
     for (SignalId sig = 0; sig < design.numSignals(); ++sig) {

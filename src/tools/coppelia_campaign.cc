@@ -2,10 +2,10 @@
  * @file
  * `coppelia-campaign` — the batch exploit-generation driver. Loads a
  * declarative campaign spec (or builds a matrix from flags), executes
- * the (processor × bug × kind) job matrix on the work-stealing worker
- * pool, each job once, and writes `campaign.jsonl` (one telemetry record
- * per job) plus `summary.txt` (the Table II/VI-layout digest) to the
- * output directory.
+ * the (processor × bug × kind) job matrix on a worker pool, each job
+ * once and until its own searches stop on the time limit, and writes
+ * `campaign.jsonl` (one telemetry record per job) plus `summary.txt`
+ * (the Table II/VI-layout digest) to the output directory.
  *
  *   coppelia-campaign --spec table2.campaign --workers 4 --out results/
  *   coppelia-campaign --matrix or1200 --baselines --time-limit 60
@@ -52,7 +52,7 @@ usage(const char *argv0)
         "  --fuzz-handoffs N  concolic hand-off attempts per fuzz job\n"
         "  --workers N        worker threads (default: spec / all cores)\n"
         "  --seed S           base RNG seed (read by fuzz jobs only)\n"
-        "  --time-limit SEC   per-job wall-clock budget\n"
+        "  --time-limit SEC   wall-clock limit of each search a job runs\n"
         "  --no-incremental   fresh SAT instance per solver query (the\n"
         "                     incremental-backend ablation)\n"
         "  --conflict-budget N  per-query SAT conflict cap (default -1:\n"

@@ -1,14 +1,14 @@
 /**
  * @file
  * Campaign orchestrator tests: the generic scheduler (work distribution,
- * stealing, watchdog timeout), spec parsing and matrix expansion, the
- * JSON utility, JSONL telemetry round-tripping, and — with real
- * exploit-generation jobs — parallel-vs-serial result parity, seed-for-
- * seed reproducibility, seed independence of the exploit search, and
- * one run per job.
+ * last-submitted-first start order, stall warnings), spec parsing and
+ * matrix expansion, the JSON utility, JSONL telemetry round-tripping,
+ * and — with real exploit-generation jobs — parallel-vs-serial result
+ * parity, seed-for-seed reproducibility, seed independence of the
+ * exploit search, and one run per job.
  *
- * The worker count comes from COPPELIA_CAMPAIGN_WORKERS when set (the
- * ctest entry pins it to 4), defaulting to 4.
+ * The worker count comes from COPPELIA_CAMPAIGN_WORKERS when set (a
+ * second ctest entry pins it to 1), defaulting to 4.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -67,7 +68,7 @@ TEST(Scheduler, RunsEveryTaskAcrossWorkers)
     for (int i = 0; i < n_tasks; ++i) {
         campaign::Task t;
         t.fn = [&, i](const campaign::TaskContext &ctx) {
-            // Uneven task sizes so stealing has something to balance.
+            // Uneven task sizes, so workers finish out of step.
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(i % 7));
             results[static_cast<std::size_t>(i)] = i * i;
@@ -81,7 +82,6 @@ TEST(Scheduler, RunsEveryTaskAcrossWorkers)
 
     EXPECT_EQ(report.tasksSubmitted, n_tasks);
     EXPECT_EQ(report.workers, testWorkers());
-    EXPECT_EQ(report.timeouts, 0);
     EXPECT_EQ(sched.pendingTasks(), 0);
     for (int i = 0; i < n_tasks; ++i) {
         EXPECT_EQ(results[static_cast<std::size_t>(i)].load(), i * i);
@@ -93,39 +93,62 @@ TEST(Scheduler, RunsEveryTaskAcrossWorkers)
     }
 }
 
-TEST(Scheduler, WatchdogCancelsPastDeadline)
+TEST(Scheduler, OneWorkerRunsLastSubmittedFirst)
 {
     campaign::SchedulerOptions opts;
-    opts.workers = 2;
-    opts.watchdogPeriodSeconds = 0.005;
+    opts.workers = 1;
     campaign::Scheduler sched(opts);
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i) {
+        campaign::Task t;
+        t.fn = [&order](const campaign::TaskContext &ctx) {
+            order.push_back(ctx.taskId);
+        };
+        sched.add(std::move(t));
+    }
+    sched.runAll();
+    EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
+}
 
-    std::atomic<bool> long_job_observed_cancel{false};
-    campaign::Task slow;
-    slow.timeoutSeconds = 0.05;
-    slow.fn = [&](const campaign::TaskContext &ctx) {
-        // Cooperative long job: spins until the watchdog cancels it
-        // (bounded by a far-away hard stop so a broken watchdog fails
-        // the test instead of hanging it).
-        const auto hard_stop = std::chrono::steady_clock::now() +
-                               std::chrono::seconds(10);
-        while (!ctx.cancelled() &&
-               std::chrono::steady_clock::now() < hard_stop)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        long_job_observed_cancel = ctx.cancelled();
-    };
-    sched.add(std::move(slow));
+/** Stall warnings one single-task pool logs while its task runs @p fn. */
+std::uint64_t
+stallWarningsWhile(std::function<void()> fn)
+{
+    metrics::Counter *warnings =
+        metrics::counter("scheduler_stall_warnings");
+    const std::uint64_t before = warnings->value();
+    campaign::SchedulerOptions opts;
+    opts.workers = 1;
+    opts.stallWarnSeconds = 0.2;
+    campaign::Scheduler sched(opts);
+    campaign::Task t;
+    t.label = "stall-probe";
+    t.fn = [&fn](const campaign::TaskContext &) { fn(); };
+    sched.add(std::move(t));
+    sched.runAll();
+    return warnings->value() - before;
+}
 
-    std::atomic<int> quick_runs{0};
-    campaign::Task quick;
-    quick.timeoutSeconds = 30.0;
-    quick.fn = [&](const campaign::TaskContext &) { ++quick_runs; };
-    sched.add(std::move(quick));
-
-    campaign::SchedulerReport report = sched.runAll();
-    EXPECT_TRUE(long_job_observed_cancel.load());
-    EXPECT_EQ(report.timeouts, 1);
-    EXPECT_EQ(quick_runs.load(), 1);
+TEST(Scheduler, WarnsOnceOnASilentTaskAndNeverOnABeatingOne)
+{
+    // Silent for 1 s, five times the threshold: one warning, not one
+    // per watchdog scan.
+    EXPECT_EQ(stallWarningsWhile([] {
+                  std::this_thread::sleep_for(std::chrono::seconds(1));
+              }),
+              1u);
+    // A heartbeat every 10 ms for 1 s keeps the progress signal fresh.
+    EXPECT_EQ(stallWarningsWhile([] {
+                  const auto end = std::chrono::steady_clock::now() +
+                                   std::chrono::seconds(1);
+                  for (std::uint64_t i = 0;
+                       std::chrono::steady_clock::now() < end; ++i) {
+                      metrics::heartbeat("test.beat", i);
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(10));
+                  }
+              }),
+              0u);
 }
 
 // --- JSON utility ------------------------------------------------------
@@ -361,8 +384,7 @@ TEST(Campaign, ParallelMatchesSerialBaseline)
     for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
         serial.push_back(campaign::runJob(
             spec, spec.jobs[i],
-            campaign::deriveJobSeed(spec.seed, static_cast<int>(i), 0),
-            nullptr));
+            campaign::deriveJobSeed(spec.seed, static_cast<int>(i), 0)));
     }
 
     campaign::CampaignResult parallel = campaign::runCampaign(spec);

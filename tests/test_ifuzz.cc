@@ -9,10 +9,7 @@
  * prefix completes a trigger the same engine budget misses from reset).
  */
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -23,6 +20,7 @@
 #include "bse/engine.hh"
 #include "campaign/job.hh"
 #include "campaign/spec.hh"
+#include "counting_alloc.hh"
 #include "cpu/bugs.hh"
 #include "cpu/or1k/core.hh"
 #include "cpu/or1k/isa.hh"
@@ -36,63 +34,6 @@
 #include "rtl/builder.hh"
 #include "rtl/sim.hh"
 #include "util/rng.hh"
-
-// ---------------------------------------------------------------------------
-// Allocation counter: the whole binary's operator new routes through this
-// counter so the zero-cost tests can assert that the simulator hot path —
-// with and without an attached coverage observer — performs no heap
-// allocation in steady state.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::uint64_t> g_allocs{0};
-} // namespace
-
-// GCC pairs call sites' new[]/delete[] with these malloc-backed
-// replacements across inlining and then flags the free() as mismatched;
-// the pairing is consistent by construction (every form routes through
-// malloc/free).
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void *
-operator new(std::size_t size)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace coppelia::fuzz
 {
@@ -305,13 +246,13 @@ TEST(StepObserver, StepIsAllocationFreeWithNoObserver)
         sim.setInput(imm, i * 7);
         sim.step();
     }
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = allocationCount();
     for (int i = 0; i < 256; ++i) {
         sim.setInput(op, i % 3);
         sim.setInput(imm, i * 13);
         sim.step();
     }
-    EXPECT_EQ(g_allocs.load() - before, 0u);
+    EXPECT_EQ(allocationCount() - before, 0u);
 }
 
 TEST(StepObserver, CoverageHotPathIsAllocationFree)
@@ -329,13 +270,13 @@ TEST(StepObserver, CoverageHotPathIsAllocationFree)
         sim.setInput(imm, i * 7);
         sim.step();
     }
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = allocationCount();
     for (int i = 0; i < 256; ++i) {
         sim.setInput(op, i % 3);
         sim.setInput(imm, i * 13);
         sim.step();
     }
-    EXPECT_EQ(g_allocs.load() - before, 0u);
+    EXPECT_EQ(allocationCount() - before, 0u);
     sim.setObserver(nullptr);
 }
 
@@ -498,7 +439,7 @@ TEST(FuzzJob, RunsThroughTheCampaignRunner)
     job.kind = campaign::JobKind::Fuzz;
     job.processor = cpu::Processor::OR1200;
     job.bug = cpu::BugId::b24;
-    const campaign::JobResult r = campaign::runJob(spec, job, 7, nullptr);
+    const campaign::JobResult r = campaign::runJob(spec, job, 7);
     EXPECT_EQ(r.status, campaign::JobStatus::Completed);
     EXPECT_GT(r.fuzzExecs, 0);
     EXPECT_GT(r.fuzzInstructions, 0u);

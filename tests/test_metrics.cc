@@ -8,62 +8,16 @@
  * the same discipline test_trace.cc pins for disabled spans.
  */
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "counting_alloc.hh"
 #include "metrics/metrics.hh"
 
 using namespace coppelia;
-
-// Count every global allocation in this binary so the hot-path test can
-// assert increments allocate nothing. Counting is the only behavioral
-// change; storage still comes from malloc/free.
-static std::atomic<std::size_t> g_allocations{0};
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -350,7 +304,7 @@ TEST(Metrics, HotPathDoesNotAllocate)
     h->observe(50);
     metrics::heartbeat("test.hot", 0);
 
-    const std::size_t before = g_allocations.load();
+    const std::uint64_t before = allocationCount();
     for (std::uint64_t i = 0; i < 10000; ++i) {
         c->inc();
         g->set(static_cast<double>(i));
@@ -358,7 +312,7 @@ TEST(Metrics, HotPathDoesNotAllocate)
         h->observe(i);
         metrics::heartbeat("test.hot", i, i);
     }
-    EXPECT_EQ(g_allocations.load(), before)
+    EXPECT_EQ(allocationCount(), before)
         << "metric updates must not allocate";
 }
 

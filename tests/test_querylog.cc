@@ -9,62 +9,17 @@
  * shape tests live in test_telemetry_schema.cc.
  */
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bse/recorder.hh"
+#include "counting_alloc.hh"
 #include "solver/querylog.hh"
 
 using namespace coppelia;
 namespace querylog = smt::querylog;
-
-// Count every global allocation so the hot-path test can assert that
-// record() allocates nothing once the thread's buffer exists.
-static std::atomic<std::size_t> g_allocations{0};
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -195,10 +150,10 @@ TEST_F(QuerylogTest, RecordHotPathDoesNotAllocate)
     // one-time allocation the discipline allows).
     querylog::record(rec(1));
 
-    const std::size_t before = g_allocations.load();
+    const std::uint64_t before = allocationCount();
     for (int i = 0; i < 2000; ++i)
         querylog::record(rec(static_cast<std::uint64_t>(1000000 + i)));
-    EXPECT_EQ(g_allocations.load(), before)
+    EXPECT_EQ(allocationCount(), before)
         << "querylog::record must not allocate after registration — "
            "slow records included (global top-K insertion is slot reuse)";
     querylog::drainThread();

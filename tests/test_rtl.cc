@@ -161,18 +161,6 @@ TEST_F(ExprEval, DeepSharedDagEvaluatesInLinearTime)
     EXPECT_EQ(evalNode(x).bits(), 0u); // 2^200 mod 2^32
 }
 
-TEST(Design, HashConsingDeduplicates)
-{
-    Design d("t");
-    d.setHashConsing(true);
-    ExprRef a = d.constant(8, 5);
-    ExprRef b = d.constant(8, 5);
-    EXPECT_EQ(a, b);
-    int before = d.numExprs();
-    (void)d.constant(8, 5);
-    EXPECT_EQ(d.numExprs(), before);
-}
-
 TEST(Design, NoHashConsingKeepsDuplicates)
 {
     Design d("t");

@@ -2,7 +2,8 @@
  * @file
  * Tests for the RTL optimization pipeline: semantic preservation (optimized
  * design simulates identically on random stimulus), node-count reduction,
- * dead-code elimination, and keep-root protection for assertion signals.
+ * common subexpression elimination, dead-code elimination, and keep-root
+ * protection for assertion signals.
  */
 
 #include <gtest/gtest.h>
@@ -100,6 +101,29 @@ TEST(Passes, SemanticsPreservedOnRandomStimulus)
         EXPECT_EQ(s0.peek("out").bits(), s1.peek("out").bits());
         EXPECT_EQ(s0.peek("r").bits(), s1.peek("r").bits());
     }
+}
+
+TEST(Passes, CseSharesStructurallyEqualNodes)
+{
+    Design d("t");
+    Builder b(d);
+    auto a = b.input("a", 8);
+    auto x = b.input("x", 8);
+    (void)b.wire("s1", a + x);
+    (void)b.wire("s2", a + x);
+    b.output("s1");
+    b.output("s2");
+    // The source design keeps both adds; the CSE stage shares them.
+    const auto def = [](const Design &des, const char *name) {
+        return des.signal(des.signalIdOf(name)).def;
+    };
+    ASSERT_NE(def(d, "s1"), def(d, "s2"));
+    Design opt = optimizeDesign(d, PassOptions{}, {});
+    EXPECT_EQ(def(opt, "s1"), def(opt, "s2"));
+    PassOptions no_cse;
+    no_cse.cse = false;
+    Design kept = optimizeDesign(d, no_cse, {});
+    EXPECT_NE(def(kept, "s1"), def(kept, "s2"));
 }
 
 TEST(Passes, ConstantFoldingAlone)

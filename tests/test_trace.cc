@@ -7,65 +7,19 @@
  * time, instant counts) including the file round-trip.
  */
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "counting_alloc.hh"
 #include "trace/fold.hh"
 #include "trace/trace.hh"
 #include "util/json.hh"
 
 using namespace coppelia;
-
-// Count every global allocation in this binary so the disabled-mode test
-// can assert the hot path allocates nothing. Counting is the only
-// behavioral change; storage still comes from malloc/free.
-static std::atomic<std::size_t> g_allocations{0};
-
-void *
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace
 {
@@ -119,7 +73,7 @@ TEST_F(TraceTest, DisabledModeAllocatesNothing)
     (void)trace::threadEventCount();
     ASSERT_FALSE(trace::enabled());
 
-    const std::size_t before = g_allocations.load();
+    const std::uint64_t before = allocationCount();
     for (int i = 0; i < 1000; ++i) {
         trace::Span span("hot", "test");
         trace::Span inner("hot.inner", nullptr);
@@ -127,7 +81,7 @@ TEST_F(TraceTest, DisabledModeAllocatesNothing)
         trace::instant("hot.instant", "test");
         inner.close();
     }
-    EXPECT_EQ(g_allocations.load(), before)
+    EXPECT_EQ(allocationCount(), before)
         << "disabled tracing must not allocate";
 }
 
