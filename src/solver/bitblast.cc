@@ -89,8 +89,7 @@ BitBlaster::mkMux(Lit s, Lit t, Lit e)
 }
 
 Lit
-BitBlaster::adder(const std::vector<Lit> &a, const std::vector<Lit> &b,
-                  Lit cin, std::vector<Lit> &out)
+BitBlaster::adder(Bits a, Bits b, Lit cin, std::vector<Lit> &out)
 {
     out.clear();
     Lit carry = cin;
@@ -104,7 +103,7 @@ BitBlaster::adder(const std::vector<Lit> &a, const std::vector<Lit> &b,
 }
 
 Lit
-BitBlaster::ultChain(const std::vector<Lit> &a, const std::vector<Lit> &b)
+BitBlaster::ultChain(Bits a, Bits b)
 {
     // Lexicographic from LSB up: lt_i = (~a_i & b_i) | (a_i==b_i) & lt_{i-1}
     Lit lt = falseLit();
@@ -116,135 +115,152 @@ BitBlaster::ultChain(const std::vector<Lit> &a, const std::vector<Lit> &b)
     return lt;
 }
 
-const std::vector<Lit> &
+BitBlaster::Range
+BitBlaster::append(const std::vector<Lit> &lits)
+{
+    const Range r{static_cast<std::uint32_t>(pool_.size()),
+                  static_cast<std::uint32_t>(lits.size())};
+    pool_.insert(pool_.end(), lits.begin(), lits.end());
+    return r;
+}
+
+BitBlaster::Bits
 BitBlaster::blast(TermRef ref)
 {
-    auto it = cache_.find(ref);
-    if (it != cache_.end()) {
+    // Terms only grow, and every ref names one of them.
+    if (termRange_.size() < static_cast<std::size_t>(tm_.numTerms()))
+        termRange_.resize(tm_.numTerms());
+    if (lowered(ref)) {
         ++cacheHits_;
-        return it->second;
+        return bits(termRange_[ref]);
     }
 
     // Iterative post-order so deep path-condition DAGs cannot overflow the
     // C stack.
-    std::vector<std::pair<TermRef, bool>> stack{{ref, false}};
-    while (!stack.empty()) {
-        auto [r, expanded] = stack.back();
-        stack.pop_back();
-        if (cache_.count(r))
+    stack_.assign(1, {ref, false});
+    while (!stack_.empty()) {
+        const auto [r, expanded] = stack_.back();
+        stack_.pop_back();
+        if (lowered(r))
             continue;
         const Term &t = tm_.term(r);
         if (!expanded && t.op != TOp::Const && t.op != TOp::Var) {
-            stack.push_back({r, true});
+            stack_.push_back({r, true});
             for (TermRef a : t.args) {
-                if (a != NoTerm && !cache_.count(a))
-                    stack.push_back({a, false});
+                if (a != NoTerm && !lowered(a))
+                    stack_.push_back({a, false});
             }
             continue;
         }
-        cache_[r] = lower(t);
+        termRange_[r] = lower(t);
         ++termsLowered_;
     }
-    return cache_.at(ref);
+    return bits(termRange_[ref]);
 }
 
-std::vector<Lit>
+BitBlaster::Range
 BitBlaster::lower(const Term &t)
 {
-    std::vector<Lit> out;
+    // Operand views point into pool_, so the result is built in out_ (or
+    // a local) and appended only once the operands are no longer read.
+    std::vector<Lit> &out = out_;
+    out.clear();
     switch (t.op) {
       case TOp::Const: {
         for (int i = 0; i < t.width; ++i)
             out.push_back((t.imm >> i) & 1 ? trueLit() : falseLit());
-        return out;
+        return append(out);
       }
       case TOp::Var: {
-        auto it = varBits_.find(t.varId);
-        if (it != varBits_.end())
-            return it->second;
-        for (int i = 0; i < t.width; ++i)
-            out.push_back(fresh());
-        varBits_[t.varId] = out;
-        return out;
+        if (varRange_.size() <= static_cast<std::size_t>(t.varId))
+            varRange_.resize(t.varId + 1);
+        if (varRange_[t.varId].offset == Range::kNone) {
+            for (int i = 0; i < t.width; ++i)
+                out.push_back(fresh());
+            varRange_[t.varId] = append(out);
+        }
+        return varRange_[t.varId];
       }
       default:
         break;
     }
 
-    const std::vector<Lit> &a =
-        t.args[0] != NoTerm ? cache_.at(t.args[0]) : cache_.begin()->second;
+    const Range ra = termRange_[t.args[0]];
+    const Bits a = bits(ra);
     switch (t.op) {
       case TOp::Not:
         for (Lit l : a)
             out.push_back(~l);
-        return out;
+        return append(out);
       case TOp::Neg: {
         std::vector<Lit> na;
         for (Lit l : a)
             na.push_back(~l);
         std::vector<Lit> zero(a.size(), falseLit());
         adder(na, zero, trueLit(), out);
-        return out;
+        return append(out);
       }
       case TOp::RedOr: {
         Lit acc = falseLit();
         for (Lit l : a)
             acc = mkOr(acc, l);
-        return {acc};
+        out.push_back(acc);
+        return append(out);
       }
       case TOp::RedAnd: {
         Lit acc = trueLit();
         for (Lit l : a)
             acc = mkAnd(acc, l);
-        return {acc};
+        out.push_back(acc);
+        return append(out);
       }
       case TOp::RedXor: {
         Lit acc = falseLit();
         for (Lit l : a)
             acc = mkXor(acc, l);
-        return {acc};
+        out.push_back(acc);
+        return append(out);
       }
       case TOp::Extract:
-        for (int i = t.lo; i <= t.hi; ++i)
-            out.push_back(a[i]);
-        return out;
+        return Range{ra.offset + static_cast<std::uint32_t>(t.lo),
+                     static_cast<std::uint32_t>(t.hi - t.lo + 1)};
       case TOp::ZExt:
-        out = a;
+        out.assign(a.begin(), a.end());
         while (static_cast<int>(out.size()) < t.width)
             out.push_back(falseLit());
-        return out;
+        return append(out);
       case TOp::SExt:
-        out = a;
+        out.assign(a.begin(), a.end());
         while (static_cast<int>(out.size()) < t.width)
             out.push_back(a.back());
-        return out;
+        return append(out);
       default:
         break;
     }
 
-    const std::vector<Lit> &b = cache_.at(t.args[1]);
+    const Bits b = bits(termRange_[t.args[1]]);
     switch (t.op) {
       case TOp::And:
         for (std::size_t i = 0; i < a.size(); ++i)
             out.push_back(mkAnd(a[i], b[i]));
-        return out;
+        return append(out);
       case TOp::Or:
         for (std::size_t i = 0; i < a.size(); ++i)
             out.push_back(mkOr(a[i], b[i]));
-        return out;
+        return append(out);
       case TOp::Xor:
         for (std::size_t i = 0; i < a.size(); ++i)
             out.push_back(mkXor(a[i], b[i]));
-        return out;
+        return append(out);
       case TOp::Add:
         adder(a, b, falseLit(), out);
-        return out;
+        return append(out);
       case TOp::Sub: {
         std::vector<Lit> nb;
         for (Lit l : b)
             nb.push_back(~l);
         adder(a, nb, trueLit(), out);
-        return out;
+        return append(out);
       }
       case TOp::Mul: {
         // Shift-and-add over the partial products.
@@ -258,7 +274,7 @@ BitBlaster::lower(const Term &t)
             adder(acc, partial, falseLit(), sum);
             acc = sum;
         }
-        return acc;
+        return append(acc);
       }
       case TOp::Shl:
       case TOp::LShr:
@@ -268,7 +284,7 @@ BitBlaster::lower(const Term &t)
         const int w = static_cast<int>(a.size());
         const Lit fill =
             t.op == TOp::AShr ? a.back() : falseLit();
-        std::vector<Lit> cur = a;
+        std::vector<Lit> cur(a.begin(), a.end());
         const int sh_bits = static_cast<int>(b.size());
         for (int k = 0; k < sh_bits; ++k) {
             const std::int64_t amount = 1ll << k;
@@ -285,35 +301,38 @@ BitBlaster::lower(const Term &t)
             for (int i = 0; i < w; ++i)
                 cur[i] = mkMux(b[k], shifted[i], cur[i]);
         }
-        return cur;
+        return append(cur);
       }
       case TOp::Eq: {
         Lit acc = trueLit();
         for (std::size_t i = 0; i < a.size(); ++i)
             acc = mkAnd(acc, ~mkXor(a[i], b[i]));
-        return {acc};
+        out.push_back(acc);
+        return append(out);
       }
       case TOp::Ult:
-        return {ultChain(a, b)};
+        out.push_back(ultChain(a, b));
+        return append(out);
       case TOp::Slt: {
         // a <s b  ==  (a ^ msb) <u (b ^ msb): flip sign bits.
-        std::vector<Lit> fa = a, fb = b;
+        std::vector<Lit> fa(a.begin(), a.end()), fb(b.begin(), b.end());
         fa.back() = ~fa.back();
         fb.back() = ~fb.back();
-        return {ultChain(fa, fb)};
+        out.push_back(ultChain(fa, fb));
+        return append(out);
       }
       case TOp::Concat: {
-        out = b; // low part first (LSB ordering)
+        out.assign(b.begin(), b.end()); // low part first (LSB ordering)
         for (Lit l : a)
             out.push_back(l);
-        return out;
+        return append(out);
       }
       case TOp::Ite: {
-        const std::vector<Lit> &c = cache_.at(t.args[2]);
+        const Bits c = bits(termRange_[t.args[2]]);
         Lit s = a[0];
         for (std::size_t i = 0; i < b.size(); ++i)
             out.push_back(mkMux(s, b[i], c[i]));
-        return out;
+        return append(out);
       }
       default:
         panic("bitblast: unhandled op ", topName(t.op));
@@ -325,15 +344,16 @@ BitBlaster::assertTrue(TermRef ref)
 {
     if (tm_.widthOf(ref) != 1)
         fatal("assertTrue on non-boolean term");
-    const std::vector<Lit> &bits = blast(ref);
-    sat_.addUnit(bits[0]);
+    sat_.addUnit(blast(ref)[0]);
 }
 
-const std::vector<Lit> *
+BitBlaster::Bits
 BitBlaster::varLits(int var_id) const
 {
-    auto it = varBits_.find(var_id);
-    return it == varBits_.end() ? nullptr : &it->second;
+    if (static_cast<std::size_t>(var_id) >= varRange_.size() ||
+        varRange_[var_id].offset == Range::kNone)
+        return {};
+    return bits(varRange_[var_id]);
 }
 
 } // namespace coppelia::smt

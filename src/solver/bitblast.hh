@@ -1,15 +1,23 @@
 /**
  * @file
  * Tseitin bit-blasting of bit-vector terms to CNF over the CDCL SAT core.
- * Each term is lowered to a vector of SAT literals, LSB first; gate outputs
+ * Each term is lowered to a run of SAT literals, LSB first; gate outputs
  * are fresh variables constrained by the usual Tseitin clauses. Lowered
  * terms are cached per blaster instance so shared subgraphs encode once.
+ *
+ * Every lowered run lives in one literal pool. Two dense tables, indexed
+ * by TermRef (terms are hash-consed into dense indices) and by theory
+ * variable id, hold each term's and each variable's range in the pool.
+ * A variable's term shares the variable's range, and an extract a
+ * sub-range of its operand's, so neither copies literals.
  */
 
 #ifndef COPPELIA_SOLVER_BITBLAST_HH
 #define COPPELIA_SOLVER_BITBLAST_HH
 
-#include <unordered_map>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "solver/sat/sat.hh"
@@ -22,17 +30,21 @@ namespace coppelia::smt
 class BitBlaster
 {
   public:
+    /** A view of lowered literals, LSB first. It points into the pool,
+     *  so it is valid only until the next blast(). */
+    using Bits = std::span<const sat::Lit>;
+
     BitBlaster(TermManager &tm, sat::Solver &sat);
 
-    /** Lower a term; returns its literals, LSB first. */
-    const std::vector<sat::Lit> &blast(TermRef ref);
+    /** Lower a term; returns a view of its literals. */
+    Bits blast(TermRef ref);
 
     /** Assert that a width-1 term is true. */
     void assertTrue(TermRef ref);
 
-    /** SAT variables allocated for a theory variable (for model readback);
+    /** SAT literals allocated for a theory variable (for model readback);
      *  empty if the variable never appeared in an asserted term. */
-    const std::vector<sat::Lit> *varLits(int var_id) const;
+    Bits varLits(int var_id) const;
 
     /** Top-level blast() requests answered from the term cache. Over a
      *  persistent blaster this is the incremental-reuse measure: a hit
@@ -43,6 +55,14 @@ class BitBlaster
     std::uint64_t termsLowered() const { return termsLowered_; }
 
   private:
+    /** Where a lowered term's or variable's literals sit in the pool. */
+    struct Range
+    {
+        static constexpr std::uint32_t kNone = ~std::uint32_t(0);
+        std::uint32_t offset = kNone; ///< kNone: not lowered yet
+        std::uint32_t width = 0;
+    };
+
     // Gate constructors returning the output literal.
     sat::Lit mkAnd(sat::Lit a, sat::Lit b);
     sat::Lit mkOr(sat::Lit a, sat::Lit b);
@@ -53,21 +73,35 @@ class BitBlaster
     sat::Lit fresh();
 
     /** Ripple-carry add: out = a + b + cin; returns carry-out. */
-    sat::Lit adder(const std::vector<sat::Lit> &a,
-                   const std::vector<sat::Lit> &b, sat::Lit cin,
-                   std::vector<sat::Lit> &out);
+    sat::Lit adder(Bits a, Bits b, sat::Lit cin, std::vector<sat::Lit> &out);
 
     /** Unsigned less-than via borrow chain. */
-    sat::Lit ultChain(const std::vector<sat::Lit> &a,
-                      const std::vector<sat::Lit> &b);
+    sat::Lit ultChain(Bits a, Bits b);
 
-    std::vector<sat::Lit> lower(const Term &t);
+    bool
+    lowered(TermRef ref) const
+    {
+        return termRange_[ref].offset != Range::kNone;
+    }
+    Bits
+    bits(Range r) const
+    {
+        return Bits(pool_).subspan(r.offset, r.width);
+    }
+    /** Append @p lits to the pool and return their range. */
+    Range append(const std::vector<sat::Lit> &lits);
+
+    /** Lower one term whose operands are already lowered. */
+    Range lower(const Term &t);
 
     TermManager &tm_;
     sat::Solver &sat_;
     sat::Lit trueLit_;
-    std::unordered_map<TermRef, std::vector<sat::Lit>> cache_;
-    std::unordered_map<int, std::vector<sat::Lit>> varBits_;
+    std::vector<sat::Lit> pool_;    ///< every lowered literal run
+    std::vector<Range> termRange_;  ///< indexed by TermRef
+    std::vector<Range> varRange_;   ///< indexed by theory variable id
+    std::vector<sat::Lit> out_;     ///< lower()'s output, reused
+    std::vector<std::pair<TermRef, bool>> stack_; ///< blast()'s, reused
     std::uint64_t cacheHits_ = 0;
     std::uint64_t termsLowered_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.hh"
 
@@ -14,7 +15,8 @@ Var
 Solver::newVar()
 {
     Var v = numVars();
-    assign_.push_back(LBool::Undef);
+    litValue_.push_back(LBool::Undef);
+    litValue_.push_back(LBool::Undef);
     savedPhase_.push_back(LBool::False);
     varInfo_.push_back(VarInfo{});
     activity_.push_back(0.0);
@@ -98,7 +100,7 @@ Solver::resetDecisionState()
     // Equal activities never sift, so index order is already a valid heap
     // and the variables are appended directly.
     for (Var v = 0; v < numVars(); ++v) {
-        if (assign_[v] == LBool::Undef) {
+        if (value(v) == LBool::Undef) {
             heapPos_[v] = static_cast<int>(heap_.size());
             heap_.push_back(v);
         }
@@ -122,61 +124,109 @@ Solver::heapPop()
 
 // --- clause management -------------------------------------------------------
 
+StatGroup
+Solver::stats() const
+{
+    StatGroup g;
+    g.set("conflicts", counters_.conflicts);
+    g.set("decisions", counters_.decisions);
+    g.set("propagations", counters_.propagations);
+    g.set("restarts", counters_.restarts);
+    g.set("assumption_decisions", counters_.assumptionDecisions);
+    g.set("learnt_lits_saved", counters_.learntLitsSaved);
+    g.set("clauses_deleted", counters_.clausesDeleted);
+    return g;
+}
+
+double
+Solver::activity(ClauseRef cr) const
+{
+    double a;
+    std::memcpy(&a, &arena_[cr + 1 + clauseSize(cr)], sizeof a);
+    return a;
+}
+
+void
+Solver::setActivity(ClauseRef cr, double a)
+{
+    std::memcpy(&arena_[cr + 1 + clauseSize(cr)], &a, sizeof a);
+}
+
+Solver::ClauseRef
+Solver::allocClause(std::span<const Lit> lits, bool learnt)
+{
+    const std::size_t cr = arena_.size();
+    const std::uint32_t hdr = static_cast<std::uint32_t>(lits.size()) << 2 |
+                              (learnt ? kLearnt : 0);
+    const std::size_t words = clauseWords(hdr);
+    if (cr + words >= NoClause)
+        panic("SAT clause arena exceeds 2^32 words");
+    // A learnt clause's activity starts at 0.0, whose bits are all zero.
+    arena_.resize(cr + words, 0);
+    arena_[cr] = hdr;
+    for (std::size_t k = 0; k < lits.size(); ++k)
+        arena_[cr + 1 + k] = static_cast<std::uint32_t>(lits[k].code());
+    return static_cast<ClauseRef>(cr);
+}
+
 void
 Solver::attachClause(ClauseRef cref)
 {
-    const Clause &c = clauses_[cref];
-    if (minimize_ && c.lits.size() == 2) {
+    const Lit l0 = lit(cref, 0);
+    const Lit l1 = lit(cref, 1);
+    if (minimize_ && clauseSize(cref) == 2) {
         // Binary clauses live in their own watcher lists: the watcher
         // itself carries the implied literal, so propagation over them
-        // never touches the clause database. The fast path is part of
-        // the minimization switch (setMinimizeLearnts): with it off,
-        // binaries go to the regular lists so the baseline propagation
-        // order — and witness stream — is preserved exactly.
-        binWatches_[(~c.lits[0]).code()].push_back({c.lits[1], cref});
-        binWatches_[(~c.lits[1]).code()].push_back({c.lits[0], cref});
+        // never touches the clause arena. The fast path is part of the
+        // minimization switch (setMinimizeLearnts): with it off,
+        // binaries go to the regular lists, and propagation visits them
+        // in the order a solver without the fast path does.
+        binWatches_[(~l0).code()].push_back({l1, cref});
+        binWatches_[(~l1).code()].push_back({l0, cref});
         return;
     }
-    watches_[(~c.lits[0]).code()].push_back({cref, c.lits[1]});
-    watches_[(~c.lits[1]).code()].push_back({cref, c.lits[0]});
+    watches_[(~l0).code()].push_back({cref, l1});
+    watches_[(~l1).code()].push_back({cref, l0});
 }
 
 bool
-Solver::addClause(std::vector<Lit> lits)
+Solver::addClause(std::span<const Lit> lits)
 {
     if (!ok_)
         return false;
     if (decisionLevel() != 0)
         panic("addClause above decision level 0");
 
-    // Simplify: drop duplicate/false literals; detect tautologies.
-    std::sort(lits.begin(), lits.end(),
+    // Simplify: drop duplicate/false literals; detect tautologies. The
+    // kept literals are compacted to the front of the reused buffer.
+    addBuffer_.assign(lits.begin(), lits.end());
+    std::sort(addBuffer_.begin(), addBuffer_.end(),
               [](Lit a, Lit b) { return a.code() < b.code(); });
-    std::vector<Lit> out;
+    std::size_t kept = 0;
     Lit prev = Lit::undef();
-    for (Lit l : lits) {
+    for (std::size_t i = 0; i < addBuffer_.size(); ++i) {
+        const Lit l = addBuffer_[i];
         if (value(l) == LBool::True || (!prev.isUndef() && l == ~prev))
             return true; // satisfied or tautological
         if (value(l) == LBool::False || l == prev)
             continue;
-        out.push_back(l);
+        addBuffer_[kept++] = l;
         prev = l;
     }
+    addBuffer_.resize(kept);
 
-    if (out.empty()) {
+    if (addBuffer_.empty()) {
         ok_ = false;
         return false;
     }
-    if (out.size() == 1) {
-        enqueue(out[0], NoClause);
+    if (addBuffer_.size() == 1) {
+        enqueue(addBuffer_[0], NoClause);
         ok_ = propagate() == NoClause;
         return ok_;
     }
-    Clause c;
-    c.lits = std::move(out);
-    clauses_.push_back(std::move(c));
+    const ClauseRef cref = allocClause(addBuffer_, false);
     ++liveProblemClauses_;
-    attachClause(static_cast<ClauseRef>(clauses_.size()) - 1);
+    attachClause(cref);
     return true;
 }
 
@@ -187,12 +237,49 @@ Solver::rebuildWatches()
         ws.clear();
     for (auto &ws : binWatches_)
         ws.clear();
-    for (ClauseRef cref = 0;
-         cref < static_cast<ClauseRef>(clauses_.size()); ++cref) {
-        if (!clauses_[cref].lits.empty())
-            attachClause(cref);
+    for (std::size_t cr = 0; cr < arena_.size();
+         cr += clauseWords(arena_[cr])) {
+        if (!(arena_[cr] & kDeleted))
+            attachClause(static_cast<ClauseRef>(cr));
     }
     qhead_ = 0;
+}
+
+void
+Solver::compactArena()
+{
+    std::vector<std::uint32_t> to;
+    to.reserve(arena_.size() - deadWords_);
+    for (std::size_t cr = 0; cr < arena_.size();) {
+        const std::uint32_t hdr = arena_[cr];
+        const std::size_t words = clauseWords(hdr);
+        if (!(hdr & kDeleted)) {
+            const auto moved = static_cast<std::uint32_t>(to.size());
+            to.insert(to.end(), arena_.begin() + cr,
+                      arena_.begin() + cr + words);
+            // The old copy's first literal slot now forwards to the new
+            // offset; only the remapping below reads it.
+            arena_[cr + 1] = moved;
+        }
+        cr += words;
+    }
+    // Deleted clauses are already off every watch list and out of
+    // learnts_, and reduceDB never deletes a reason, so every reference
+    // left names a live clause.
+    const auto forward = [this](ClauseRef cr) { return arena_[cr + 1]; };
+    for (auto &ws : watches_)
+        for (Watcher &w : ws)
+            w.cref = forward(w.cref);
+    for (auto &ws : binWatches_)
+        for (BinWatcher &w : ws)
+            w.cref = forward(w.cref);
+    for (VarInfo &vi : varInfo_)
+        if (vi.reason != NoClause)
+            vi.reason = forward(vi.reason);
+    for (ClauseRef &cr : learnts_)
+        cr = forward(cr);
+    arena_ = std::move(to);
+    deadWords_ = 0;
 }
 
 // --- propagation -------------------------------------------------------------
@@ -200,9 +287,9 @@ Solver::rebuildWatches()
 void
 Solver::enqueue(Lit p, ClauseRef from)
 {
-    assign_[p.var()] = p.sign() ? LBool::False : LBool::True;
-    varInfo_[p.var()].reason = from;
-    varInfo_[p.var()].level = decisionLevel();
+    litValue_[p.code()] = LBool::True;
+    litValue_[p.code() ^ 1] = LBool::False;
+    varInfo_[p.var()] = {from, decisionLevel()};
     trail_.push_back(p);
 }
 
@@ -210,11 +297,9 @@ Solver::ClauseRef
 Solver::propagate()
 {
     ClauseRef confl = NoClause;
-    // The stats map is string-keyed, so dequeued literals are counted
-    // locally and added once per call rather than once per literal.
     std::uint64_t dequeued = 0;
     while (qhead_ < trail_.size()) {
-        Lit p = trail_[qhead_++];
+        const Lit p = trail_[qhead_++];
         ++dequeued;
 
         // Binary fast path: the watcher carries the implied literal, so
@@ -230,41 +315,48 @@ Solver::propagate()
             }
             // The implied literal must be lits[0]: conflict analysis and
             // redundancy checks iterate reason clauses from index 1.
-            Clause &c = clauses_[bw.cref];
-            if (c.lits[0] != bw.other)
-                std::swap(c.lits[0], c.lits[1]);
+            std::uint32_t *lits = &arena_[bw.cref + 1];
+            if (lits[0] != static_cast<std::uint32_t>(bw.other.code()))
+                std::swap(lits[0], lits[1]);
             enqueue(bw.other, bw.cref);
         }
         if (confl != NoClause)
             break;
 
+        // Watched clauses, compacted in place: i reads, j writes back the
+        // watchers that stay on this list.
         std::vector<Watcher> &ws = watches_[p.code()];
-        std::size_t i = 0, j = 0;
-        while (i < ws.size()) {
-            Watcher w = ws[i];
+        const auto false_code = static_cast<std::uint32_t>((~p).code());
+        Watcher *i = ws.data();
+        Watcher *j = i;
+        Watcher *const end = i + ws.size();
+        while (i != end) {
+            const Watcher w = *i;
             if (value(w.blocker) == LBool::True) {
-                ws[j++] = ws[i++];
+                *j++ = *i++;
                 continue;
             }
-            Clause &c = clauses_[w.cref];
+            const std::uint32_t size = clauseSize(w.cref);
+            std::uint32_t *lits = &arena_[w.cref + 1];
             // Ensure the false literal is lits[1].
-            const Lit false_lit = ~p;
-            if (c.lits[0] == false_lit)
-                std::swap(c.lits[0], c.lits[1]);
+            if (lits[0] == false_code)
+                std::swap(lits[0], lits[1]);
             ++i;
 
-            const Lit first = c.lits[0];
+            const Lit first = Lit::fromCode(static_cast<int>(lits[0]));
             if (first != w.blocker && value(first) == LBool::True) {
-                ws[j++] = {w.cref, first};
+                *j++ = {w.cref, first};
                 continue;
             }
 
-            // Look for a new literal to watch.
+            // Look for a new literal to watch. It is never ~p, so the
+            // push below lands on another list than ws.
             bool found = false;
-            for (std::size_t k = 2; k < c.lits.size(); ++k) {
-                if (value(c.lits[k]) != LBool::False) {
-                    std::swap(c.lits[1], c.lits[k]);
-                    watches_[(~c.lits[1]).code()].push_back({w.cref, first});
+            for (std::uint32_t k = 2; k < size; ++k) {
+                if (value(Lit::fromCode(static_cast<int>(lits[k]))) !=
+                    LBool::False) {
+                    std::swap(lits[1], lits[k]);
+                    watches_[lits[1] ^ 1].push_back({w.cref, first});
                     found = true;
                     break;
                 }
@@ -273,22 +365,21 @@ Solver::propagate()
                 continue;
 
             // Clause is unit or conflicting.
-            ws[j++] = {w.cref, first};
+            *j++ = {w.cref, first};
             if (value(first) == LBool::False) {
                 confl = w.cref;
                 qhead_ = trail_.size();
-                while (i < ws.size())
-                    ws[j++] = ws[i++];
+                while (i != end)
+                    *j++ = *i++;
                 break;
             }
             enqueue(first, w.cref);
         }
-        ws.resize(j);
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
         if (confl != NoClause)
             break;
     }
-    if (dequeued != 0)
-        stats_.inc("propagations", dequeued);
+    counters_.propagations += dequeued;
     return confl;
 }
 
@@ -307,12 +398,13 @@ Solver::bumpVar(Var v)
 }
 
 void
-Solver::bumpClause(Clause &c)
+Solver::bumpClause(ClauseRef cr)
 {
-    c.activity += claInc_;
-    if (c.activity > 1e20) {
-        for (ClauseRef cr : learnts_)
-            clauses_[cr].activity *= 1e-20;
+    const double a = activity(cr) + claInc_;
+    setActivity(cr, a);
+    if (a > 1e20) {
+        for (ClauseRef l : learnts_)
+            setActivity(l, activity(l) * 1e-20);
         claInc_ *= 1e-20;
     }
 }
@@ -329,12 +421,12 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
     std::size_t index = trail_.size();
 
     do {
-        Clause &c = clauses_[confl];
-        if (c.learned)
-            bumpClause(c);
-        const std::size_t start = p.isUndef() ? 0 : 1;
-        for (std::size_t k = start; k < c.lits.size(); ++k) {
-            Lit q = c.lits[k];
+        if (isLearnt(confl))
+            bumpClause(confl);
+        const std::uint32_t size = clauseSize(confl);
+        const std::uint32_t start = p.isUndef() ? 0 : 1;
+        for (std::uint32_t k = start; k < size; ++k) {
+            const Lit q = lit(confl, k);
             if (!seen_[q.var()] && varInfo_[q.var()].level > 0) {
                 seen_[q.var()] = 1;
                 analyzeToClear_.push_back(q);
@@ -373,7 +465,7 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
                 !litRedundant(l, abstract_levels))
                 out_learnt[j++] = l;
         }
-        stats_.inc("learnt_lits_saved", out_learnt.size() - j);
+        counters_.learntLitsSaved += out_learnt.size() - j;
         out_learnt.resize(j);
     }
 
@@ -408,9 +500,10 @@ Solver::litRedundant(Lit p, std::uint32_t abstract_levels)
     while (!analyzeStack_.empty()) {
         const Lit q = analyzeStack_.back();
         analyzeStack_.pop_back();
-        const Clause &c = clauses_[varInfo_[q.var()].reason];
-        for (std::size_t k = 1; k < c.lits.size(); ++k) {
-            const Lit l = c.lits[k];
+        const ClauseRef reason = varInfo_[q.var()].reason;
+        const std::uint32_t size = clauseSize(reason);
+        for (std::uint32_t k = 1; k < size; ++k) {
+            const Lit l = lit(reason, k);
             const Var v = l.var();
             if (seen_[v] || varInfo_[v].level == 0)
                 continue;
@@ -447,10 +540,12 @@ Solver::analyzeFinal(Lit p)
             if (varInfo_[v].level > 0)
                 conflictCore_.push_back(~trail_[i]);
         } else {
-            const Clause &c = clauses_[varInfo_[v].reason];
-            for (std::size_t k = 1; k < c.lits.size(); ++k) {
-                if (varInfo_[c.lits[k].var()].level > 0)
-                    seen_[c.lits[k].var()] = 1;
+            const ClauseRef reason = varInfo_[v].reason;
+            const std::uint32_t size = clauseSize(reason);
+            for (std::uint32_t k = 1; k < size; ++k) {
+                const Var u = lit(reason, k).var();
+                if (varInfo_[u].level > 0)
+                    seen_[u] = 1;
             }
         }
         seen_[v] = 0;
@@ -465,9 +560,11 @@ Solver::cancelUntil(int level)
         return;
     for (std::size_t i = trail_.size();
          i-- > static_cast<std::size_t>(trailLim_[level]);) {
-        Var v = trail_[i].var();
-        savedPhase_[v] = assign_[v];
-        assign_[v] = LBool::Undef;
+        const Lit p = trail_[i];
+        const Var v = p.var();
+        savedPhase_[v] = p.sign() ? LBool::False : LBool::True;
+        litValue_[p.code()] = LBool::Undef;
+        litValue_[p.code() ^ 1] = LBool::Undef;
         varInfo_[v].reason = NoClause;
         heapInsert(v);
     }
@@ -481,7 +578,7 @@ Solver::pickBranchLit()
 {
     while (!heap_.empty()) {
         Var v = heap_[0];
-        if (assign_[v] == LBool::Undef) {
+        if (value(v) == LBool::Undef) {
             heapPop();
             bool phase = savedPhase_[v] == LBool::True;
             return Lit(v, !phase);
@@ -495,45 +592,43 @@ void
 Solver::reduceDB()
 {
     // Remove the less active half of learned clauses (keeping binary
-    // clauses and current reasons).
+    // clauses and current reasons). A clause is a current reason exactly
+    // when it implied its first literal, which it keeps at lits[0] for as
+    // long as that literal stays assigned.
     std::vector<ClauseRef> sorted = learnts_;
     std::sort(sorted.begin(), sorted.end(), [this](ClauseRef a, ClauseRef b) {
-        return clauses_[a].activity < clauses_[b].activity;
+        return activity(a) < activity(b);
     });
-
-    std::vector<char> drop(clauses_.size(), 0);
-    std::size_t limit = sorted.size() / 2;
-    std::vector<char> isReason(clauses_.size(), 0);
-    for (const Lit &l : trail_) {
-        ClauseRef r = varInfo_[l.var()].reason;
-        if (r != NoClause)
-            isReason[r] = 1;
-    }
+    const auto locked = [this](ClauseRef cr) {
+        const Lit first = lit(cr, 0);
+        return varInfo_[first.var()].reason == cr &&
+               value(first) == LBool::True;
+    };
+    const std::size_t limit = sorted.size() / 2;
     for (std::size_t i = 0; i < limit; ++i) {
-        ClauseRef cr = sorted[i];
-        if (clauses_[cr].lits.size() > 2 && !isReason[cr])
-            drop[cr] = 1;
+        const ClauseRef cr = sorted[i];
+        if (clauseSize(cr) > 2 && !locked(cr))
+            arena_[cr] |= kDeleted;
     }
 
     // Detach dropped clauses from the watch lists.
     for (auto &ws : watches_) {
-        std::size_t j = 0;
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            if (!drop[ws[i].cref])
-                ws[j++] = ws[i];
-        }
-        ws.resize(j);
+        std::erase_if(ws, [this](const Watcher &w) {
+            return (arena_[w.cref] & kDeleted) != 0;
+        });
     }
-    std::vector<ClauseRef> kept;
+    std::size_t kept = 0;
     for (ClauseRef cr : learnts_) {
-        if (!drop[cr]) {
-            kept.push_back(cr);
+        if (!(arena_[cr] & kDeleted)) {
+            learnts_[kept++] = cr;
         } else {
-            clauses_[cr].lits.clear();
-            stats_.inc("clauses_deleted");
+            deadWords_ += clauseWords(arena_[cr]);
+            ++counters_.clausesDeleted;
         }
     }
-    learnts_ = std::move(kept);
+    learnts_.resize(kept);
+    if (2 * deadWords_ > arena_.size())
+        compactArena();
 }
 
 std::int64_t
@@ -574,38 +669,33 @@ Solver::solve(const std::vector<Lit> &assumptions,
             if (confl != NoClause) {
                 ++conflicts_here;
                 ++conflicts_total;
-                stats_.inc("conflicts");
+                ++counters_.conflicts;
                 if (decisionLevel() == 0) {
                     ok_ = false;
                     return SatResult::Unsat;
                 }
-                std::vector<Lit> learnt;
                 int btlevel = 0;
-                analyze(confl, learnt, btlevel);
+                analyze(confl, learnt_, btlevel);
                 // Never backtrack past the assumptions.
                 cancelUntil(btlevel);
-                if (learnt.size() == 1) {
+                if (learnt_.size() == 1) {
                     if (decisionLevel() > 0)
                         cancelUntil(0);
-                    if (value(learnt[0]) == LBool::False) {
+                    if (value(learnt_[0]) == LBool::False) {
                         ok_ = false;
                         return SatResult::Unsat;
                     }
-                    if (value(learnt[0]) == LBool::Undef)
-                        enqueue(learnt[0], NoClause);
+                    if (value(learnt_[0]) == LBool::Undef)
+                        enqueue(learnt_[0], NoClause);
                     // Assumption literals must be re-established; restart
                     // the outer decision loop.
                     break;
                 }
-                Clause c;
-                c.lits = std::move(learnt);
-                c.learned = true;
-                clauses_.push_back(std::move(c));
-                ClauseRef cref = static_cast<ClauseRef>(clauses_.size()) - 1;
+                const ClauseRef cref = allocClause(learnt_, true);
                 learnts_.push_back(cref);
                 attachClause(cref);
-                bumpClause(clauses_[cref]);
-                enqueue(clauses_[cref].lits[0], cref);
+                bumpClause(cref);
+                enqueue(learnt_[0], cref);
                 decayVarActivity();
                 claInc_ *= 1.001;
 
@@ -615,7 +705,7 @@ Solver::solve(const std::vector<Lit> &assumptions,
                     return SatResult::Unknown;
                 }
                 if (conflicts_here >= restart_limit) {
-                    stats_.inc("restarts");
+                    ++counters_.restarts;
                     break; // restart
                 }
                 if (learnts_.size() >
@@ -642,7 +732,7 @@ Solver::solve(const std::vector<Lit> &assumptions,
                     cancelUntil(0);
                     return SatResult::Unsat;
                 }
-                stats_.inc("assumption_decisions");
+                ++counters_.assumptionDecisions;
                 trailLim_.push_back(static_cast<int>(trail_.size()));
                 enqueue(a, NoClause);
                 continue;
@@ -651,7 +741,7 @@ Solver::solve(const std::vector<Lit> &assumptions,
             Lit next = pickBranchLit();
             if (next.isUndef())
                 return SatResult::Sat; // all variables assigned
-            stats_.inc("decisions");
+            ++counters_.decisions;
             trailLim_.push_back(static_cast<int>(trail_.size()));
             enqueue(next, NoClause);
         }

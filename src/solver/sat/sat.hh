@@ -7,12 +7,21 @@
  * Luby restarts, and assumption-based incremental solving. This is the
  * decision-procedure core under the bit-vector theory layer (the
  * KLEE/STP stand-in of the reproduction).
+ *
+ * Memory is laid out flat, as in MiniSat (Een & Sorensson, SAT 2003):
+ * every clause lives in one word arena, addressed by its offset, as a
+ * header word (size, learnt, deleted), the literal codes inline, and for
+ * a learnt clause its activity; assignments are kept per literal, so
+ * reading a literal's value is one load; work counters are plain
+ * integers. Deleted learnt clauses leave dead words behind, and the
+ * arena is compacted in clause order once they make up half of it.
  */
 
 #ifndef COPPELIA_SOLVER_SAT_SAT_HH
 #define COPPELIA_SOLVER_SAT_SAT_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/stats.hh"
@@ -80,24 +89,52 @@ enum class SatResult
 class Solver
 {
   public:
+    /** Work done over the solver's lifetime, one field per counter. */
+    struct Counters
+    {
+        std::uint64_t conflicts = 0;
+        std::uint64_t decisions = 0;
+        std::uint64_t propagations = 0; ///< literals propagate() dequeued
+        std::uint64_t restarts = 0;
+        std::uint64_t assumptionDecisions = 0;
+        std::uint64_t learntLitsSaved = 0; ///< removed by minimization
+        std::uint64_t clausesDeleted = 0;  ///< learnt clauses reduceDB dropped
+    };
+
     Solver();
 
     /** Allocate a fresh variable and return its index. */
     Var newVar();
 
-    int numVars() const { return static_cast<int>(assign_.size()); }
+    int numVars() const { return static_cast<int>(varInfo_.size()); }
 
     /**
      * Add a clause (disjunction of literals). Returns false if the clause
      * makes the formula trivially unsatisfiable (empty after simplification
      * at level 0).
      */
-    bool addClause(std::vector<Lit> lits);
+    bool addClause(std::span<const Lit> lits);
 
-    /** Convenience single/double/triple literal clauses. */
-    bool addUnit(Lit a) { return addClause({a}); }
-    bool addBinary(Lit a, Lit b) { return addClause({a, b}); }
-    bool addTernary(Lit a, Lit b, Lit c) { return addClause({a, b, c}); }
+    /** Convenience single/double/triple literal clauses; they allocate
+     *  nothing beyond the clause's own arena words. */
+    bool
+    addUnit(Lit a)
+    {
+        const Lit lits[] = {a};
+        return addClause(lits);
+    }
+    bool
+    addBinary(Lit a, Lit b)
+    {
+        const Lit lits[] = {a, b};
+        return addClause(lits);
+    }
+    bool
+    addTernary(Lit a, Lit b, Lit c)
+    {
+        const Lit lits[] = {a, b, c};
+        return addClause(lits);
+    }
 
     /**
      * Solve under the given assumptions.
@@ -108,24 +145,21 @@ class Solver
                     std::int64_t conflict_budget = -1);
 
     /** Model value of a variable (valid after Sat). */
-    LBool value(Var v) const { return assign_[v]; }
+    LBool value(Var v) const { return value(Lit(v, false)); }
 
     /** Model value of a literal. */
-    LBool
-    value(Lit l) const
-    {
-        LBool v = assign_[l.var()];
-        if (v == LBool::Undef)
-            return LBool::Undef;
-        bool b = (v == LBool::True) != l.sign();
-        return b ? LBool::True : LBool::False;
-    }
+    LBool value(Lit l) const { return litValue_[l.code()]; }
 
     /** Assumptions that participated in the final conflict (after Unsat). */
     const std::vector<Lit> &failedAssumptions() const { return conflictCore_; }
 
-    /** Work counters: conflicts, decisions, propagations, restarts. */
-    const StatGroup &stats() const { return stats_; }
+    /** Work counters, read directly. */
+    const Counters &counters() const { return counters_; }
+
+    /** The same counters by name: conflicts, decisions, propagations,
+     *  restarts, assumption_decisions, learnt_lits_saved,
+     *  clauses_deleted. */
+    StatGroup stats() const;
 
     /** True if the clause database is already unsat at level 0. */
     bool inconsistent() const { return !ok_; }
@@ -156,13 +190,18 @@ class Solver
      *  stay valid for every later query over the same database. */
     std::size_t numLearnts() const { return learnts_.size(); }
 
+    /** Words the clause arena holds, and the share of them that belongs
+     *  to live (not deleted) clauses. Compaction keeps the first within
+     *  twice the second. */
+    std::size_t arenaWords() const { return arena_.size(); }
+    std::size_t liveClauseWords() const { return arena_.size() - deadWords_; }
+
     /**
      * Enable/disable learnt-clause minimization in analyze(). The
      * binary-clause watcher fast path rides the same switch: with it
-     * off, binary clauses stay in the regular watch lists exactly as
-     * the unoptimized solver keeps them, so the minimization-off
-     * configuration preserves the baseline propagation order — and
-     * with it the baseline witness stream — bit for bit.
+     * off, binary clauses stay in the regular watch lists, so the
+     * minimization-off configuration propagates in the order of a
+     * solver without the fast path.
      */
     void
     setMinimizeLearnts(bool on)
@@ -170,7 +209,7 @@ class Solver
         if (minimize_ == on)
             return;
         minimize_ = on;
-        if (!clauses_.empty())
+        if (!arena_.empty())
             rebuildWatches(); // migrate binaries between list kinds
     }
 
@@ -189,15 +228,17 @@ class Solver
     }
 
   private:
-    struct Clause
-    {
-        std::vector<Lit> lits;
-        bool learned = false;
-        double activity = 0.0;
-    };
+    /** Offset of a clause's header word in arena_. */
+    using ClauseRef = std::uint32_t;
+    static constexpr ClauseRef NoClause = ~ClauseRef(0);
 
-    using ClauseRef = int;
-    static constexpr ClauseRef NoClause = -1;
+    // Header word: size << 2 | deleted << 1 | learnt.
+    static constexpr std::uint32_t kLearnt = 1;
+    static constexpr std::uint32_t kDeleted = 2;
+    /** Words a learnt clause's activity (a double) takes after its
+     *  literals. */
+    static constexpr std::size_t kActivityWords =
+        sizeof(double) / sizeof(std::uint32_t);
 
     struct Watcher
     {
@@ -219,6 +260,26 @@ class Solver
         int level = 0;
     };
 
+    // Clause arena access. A pointer into arena_ is valid only until the
+    // next append (addClause, a learnt clause) or compaction.
+    std::uint32_t clauseSize(ClauseRef cr) const { return arena_[cr] >> 2; }
+    bool isLearnt(ClauseRef cr) const { return arena_[cr] & kLearnt; }
+    Lit
+    lit(ClauseRef cr, std::uint32_t k) const
+    {
+        return Lit::fromCode(static_cast<int>(arena_[cr + 1 + k]));
+    }
+    double activity(ClauseRef cr) const;
+    void setActivity(ClauseRef cr, double a);
+    /** Words the clause with header @p hdr spans: header, literals,
+     *  activity. */
+    static std::size_t
+    clauseWords(std::uint32_t hdr)
+    {
+        return 1 + (hdr >> 2) + ((hdr & kLearnt) ? kActivityWords : 0);
+    }
+    ClauseRef allocClause(std::span<const Lit> lits, bool learnt);
+
     // Core CDCL steps.
     ClauseRef propagate();
     void analyze(ClauseRef confl, std::vector<Lit> &out_learnt,
@@ -230,6 +291,9 @@ class Solver
     Lit pickBranchLit();
     void attachClause(ClauseRef cref);
     void reduceDB();
+    /** Copy the live clauses, in order, into a fresh arena and remap
+     *  every watcher, reason and learnts_ entry to the new offsets. */
+    void compactArena();
 
     std::uint32_t
     abstractLevel(Var v) const
@@ -244,17 +308,18 @@ class Solver
     // Activity bookkeeping.
     void bumpVar(Var v);
     void decayVarActivity() { varInc_ /= kVarDecay; }
-    void bumpClause(Clause &c);
+    void bumpClause(ClauseRef cr);
 
     int decisionLevel() const { return static_cast<int>(trailLim_.size()); }
     static std::int64_t luby(std::int64_t i);
 
     bool ok_ = true;
-    std::vector<Clause> clauses_;
+    std::vector<std::uint32_t> arena_; ///< every clause, back to back
+    std::size_t deadWords_ = 0;        ///< words of deleted clauses
     std::vector<ClauseRef> learnts_;
     std::vector<std::vector<Watcher>> watches_; ///< indexed by lit code
     std::vector<std::vector<BinWatcher>> binWatches_; ///< indexed by lit code
-    std::vector<LBool> assign_;
+    std::vector<LBool> litValue_; ///< indexed by lit code
     std::vector<LBool> savedPhase_;
     std::vector<VarInfo> varInfo_;
     std::vector<double> activity_;
@@ -265,6 +330,8 @@ class Solver
     bool minimize_ = true;
     std::vector<Lit> analyzeStack_;
     std::vector<Lit> analyzeToClear_;
+    std::vector<Lit> learnt_;    ///< analyze()'s output, reused
+    std::vector<Lit> addBuffer_; ///< addClause()'s simplified copy, reused
 
     std::size_t liveProblemClauses_ = 0; ///< maintained by addClause
 
@@ -289,7 +356,7 @@ class Solver
     /** Conflicts per Luby restart unit. */
     static constexpr std::int64_t kRestartBase = 100;
 
-    StatGroup stats_;
+    Counters counters_;
 };
 
 } // namespace coppelia::sat

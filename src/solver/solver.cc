@@ -163,22 +163,18 @@ Solver::solveCore(const std::vector<TermRef> &assertions, Model *model)
     stats_.inc("sat_calls");
     live().satCalls->inc();
     metrics::heartbeat("smt.solve", stats_.get("sat_calls"));
-    // Per-query deltas for the forensics record: the backends accumulate
-    // their SAT-core deltas into stats_, so the difference across the
-    // dispatch is exactly this query's work.
-    const std::uint64_t c0 = stats_.get("sat_conflicts");
-    const std::uint64_t d0 = stats_.get("sat_decisions");
-    const std::uint64_t p0 = stats_.get("sat_propagations");
-    const std::uint64_t r0 = stats_.get("sat_restarts");
-    const std::uint64_t l0 = stats_.get("learnt_lits_saved");
+    // The SAT core's work in this dispatch, for the forensics record;
+    // it stays zero when the backend answers before calling the core.
+    sat::Solver::Counters work;
     // The span brackets exactly the region the solve_us counter times, so
     // a folded trace's smt.solve total, the solver_solve_us telemetry,
     // and the smt.solve_us registry histogram agree (the acceptance
-    // cross-check between the three systems).
+    // cross-check between the three systems). Inside it, smt.blast,
+    // sat.cdcl and smt.model split the time between the kernels.
     trace::Span span("smt.solve", "solver");
     Timer timer;
-    Result r = opts_.incremental ? solveIncremental(assertions, model)
-                                 : solveFresh(assertions, model);
+    Result r = opts_.incremental ? solveIncremental(assertions, model, work)
+                                 : solveFresh(assertions, model, work);
     const auto us = static_cast<std::uint64_t>(timer.seconds() * 1e6);
     // Close with the timer so the span excludes the stats/querylog
     // bookkeeping below: on a chatty search the per-query bookkeeping
@@ -188,11 +184,11 @@ Solver::solveCore(const std::vector<TermRef> &assertions, Model *model)
     live().solveUs->observe(us);
     querylog::Record rec;
     rec.assumptions = static_cast<std::uint32_t>(assertions.size());
-    rec.conflicts = stats_.get("sat_conflicts") - c0;
-    rec.decisions = stats_.get("sat_decisions") - d0;
-    rec.propagations = stats_.get("sat_propagations") - p0;
-    rec.restarts = stats_.get("sat_restarts") - r0;
-    rec.learntLitsSaved = stats_.get("learnt_lits_saved") - l0;
+    rec.conflicts = work.conflicts;
+    rec.decisions = work.decisions;
+    rec.propagations = work.propagations;
+    rec.restarts = work.restarts;
+    rec.learntLitsSaved = work.learntLitsSaved;
     rec.wallUs = us;
     rec.result = static_cast<int>(r);
     rec.incremental = opts_.incremental;
@@ -200,10 +196,31 @@ Solver::solveCore(const std::vector<TermRef> &assertions, Model *model)
     return r;
 }
 
+sat::Solver::Counters
+Solver::addSatWork(const sat::Solver &sat,
+                   const sat::Solver::Counters &before)
+{
+    const sat::Solver::Counters &now = sat.counters();
+    sat::Solver::Counters work;
+    work.conflicts = now.conflicts - before.conflicts;
+    work.decisions = now.decisions - before.decisions;
+    work.propagations = now.propagations - before.propagations;
+    work.restarts = now.restarts - before.restarts;
+    work.learntLitsSaved = now.learntLitsSaved - before.learntLitsSaved;
+    stats_.inc("sat_conflicts", work.conflicts);
+    stats_.inc("sat_decisions", work.decisions);
+    stats_.inc("sat_propagations", work.propagations);
+    stats_.inc("sat_restarts", work.restarts);
+    stats_.inc("learnt_lits_saved", work.learntLitsSaved);
+    live().learntLitsSaved->inc(work.learntLitsSaved);
+    return work;
+}
+
 void
 Solver::readModel(const BitBlaster &blaster, const sat::Solver &sat,
                   const std::vector<TermRef> &assertions, Model *model) const
 {
+    trace::Span span("smt.model", "solver");
     // Read back every theory variable that occurs in the assertions.
     std::vector<int> vars;
     for (TermRef a : assertions)
@@ -211,40 +228,40 @@ Solver::readModel(const BitBlaster &blaster, const sat::Solver &sat,
     std::sort(vars.begin(), vars.end());
     vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
     for (int v : vars) {
-        const std::vector<sat::Lit> *lits = blaster.varLits(v);
         std::uint64_t bits = 0;
-        if (lits) {
-            for (std::size_t i = 0; i < lits->size(); ++i) {
-                if (sat.value((*lits)[i]) == sat::LBool::True)
-                    bits |= 1ull << i;
-            }
+        const BitBlaster::Bits lits = blaster.varLits(v);
+        for (std::size_t i = 0; i < lits.size(); ++i) {
+            if (sat.value(lits[i]) == sat::LBool::True)
+                bits |= 1ull << i;
         }
         model->set(v, bits);
     }
 }
 
 Result
-Solver::solveFresh(const std::vector<TermRef> &assertions, Model *model)
+Solver::solveFresh(const std::vector<TermRef> &assertions, Model *model,
+                   sat::Solver::Counters &work)
 {
     sat::Solver sat;
     sat.setMinimizeLearnts(opts_.minimize);
     BitBlaster blaster(tm_, sat);
-
-    for (TermRef a : assertions) {
-        if (tm_.widthOf(a) != 1)
-            fatal("solver assertion is not boolean");
-        blaster.assertTrue(a);
+    {
+        trace::Span span("smt.blast", "solver");
+        for (TermRef a : assertions) {
+            if (tm_.widthOf(a) != 1)
+                fatal("solver assertion is not boolean");
+            blaster.assertTrue(a);
+        }
     }
     if (sat.inconsistent())
         return Result::Unsat;
 
-    sat::SatResult sr = sat.solve({}, opts_.conflictBudget);
-    stats_.inc("sat_conflicts", sat.stats().get("conflicts"));
-    stats_.inc("sat_decisions", sat.stats().get("decisions"));
-    stats_.inc("sat_propagations", sat.stats().get("propagations"));
-    stats_.inc("sat_restarts", sat.stats().get("restarts"));
-    stats_.inc("learnt_lits_saved", sat.stats().get("learnt_lits_saved"));
-    live().learntLitsSaved->inc(sat.stats().get("learnt_lits_saved"));
+    sat::SatResult sr;
+    {
+        trace::Span span("sat.cdcl", "solver");
+        sr = sat.solve({}, opts_.conflictBudget);
+    }
+    work = addSatWork(sat, {}); // a fresh core's counters start at zero
 
     switch (sr) {
       case sat::SatResult::Unsat:
@@ -263,7 +280,8 @@ Solver::solveFresh(const std::vector<TermRef> &assertions, Model *model)
 }
 
 Result
-Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model)
+Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model,
+                         sat::Solver::Counters &work)
 {
     if (!incSat_) {
         incSat_ = std::make_unique<sat::Solver>();
@@ -296,10 +314,13 @@ Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model)
     // candidate can leak into another.
     std::vector<sat::Lit> assumptions;
     assumptions.reserve(assertions.size());
-    for (TermRef a : assertions) {
-        if (tm_.widthOf(a) != 1)
-            fatal("solver assertion is not boolean");
-        assumptions.push_back(incBlaster_->blast(a)[0]);
+    {
+        trace::Span span("smt.blast", "solver");
+        for (TermRef a : assertions) {
+            if (tm_.widthOf(a) != 1)
+                fatal("solver assertion is not boolean");
+            assumptions.push_back(incBlaster_->blast(a)[0]);
+        }
     }
     stats_.inc("blast_cache_hits", incBlaster_->cacheHits() - hits0);
     stats_.inc("blast_terms_lowered",
@@ -308,21 +329,13 @@ Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model)
     if (incSat_->inconsistent())
         return Result::Unsat;
 
-    const std::uint64_t c0 = incSat_->stats().get("conflicts");
-    const std::uint64_t d0 = incSat_->stats().get("decisions");
-    const std::uint64_t p0 = incSat_->stats().get("propagations");
-    const std::uint64_t rs0 = incSat_->stats().get("restarts");
-    const std::uint64_t l0 = incSat_->stats().get("learnt_lits_saved");
-    sat::SatResult sr = incSat_->solve(assumptions, opts_.conflictBudget);
-    stats_.inc("sat_conflicts", incSat_->stats().get("conflicts") - c0);
-    stats_.inc("sat_decisions", incSat_->stats().get("decisions") - d0);
-    stats_.inc("sat_propagations",
-               incSat_->stats().get("propagations") - p0);
-    stats_.inc("sat_restarts", incSat_->stats().get("restarts") - rs0);
-    const std::uint64_t saved =
-        incSat_->stats().get("learnt_lits_saved") - l0;
-    stats_.inc("learnt_lits_saved", saved);
-    live().learntLitsSaved->inc(saved);
+    const sat::Solver::Counters before = incSat_->counters();
+    sat::SatResult sr;
+    {
+        trace::Span span("sat.cdcl", "solver");
+        sr = incSat_->solve(assumptions, opts_.conflictBudget);
+    }
+    work = addSatWork(*incSat_, before);
 
     switch (sr) {
       case sat::SatResult::Unsat:

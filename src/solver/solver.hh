@@ -25,6 +25,12 @@
  * stage left is learnt-clause minimization inside conflict analysis
  * (`SolverOptions::minimize`).
  *
+ * Each SAT dispatch is one `smt.solve` trace span, split by kernel into
+ * `smt.blast` (assertions to indicator literals, in the blaster's literal
+ * pool), `sat.cdcl` (the core's solve over its clause arena) and
+ * `smt.model` (model readback). The dispatch's SAT work comes from the
+ * core's integer counters, read before and after the solve call.
+ *
  * Counterexample reuse in front of either backend mirrors KLEE's
  * counterexample caching (enabled in the paper's "Original KLEE" baseline
  * configuration): models from previous satisfiable queries, kept in a
@@ -48,13 +54,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "solver/sat/sat.hh"
 #include "solver/term.hh"
 #include "util/stats.hh"
-
-namespace coppelia::sat
-{
-class Solver;
-} // namespace coppelia::sat
 
 namespace coppelia::smt
 {
@@ -169,10 +171,18 @@ class Solver
     /** Remember a model for counterexample reuse (ring buffer). */
     void rememberModel(const Model &model);
 
+    /** The backends report the SAT core's work of the dispatch in
+     *  @p work, left zero when they answer without calling the core. */
     Result solveCore(const std::vector<TermRef> &assertions, Model *model);
-    Result solveFresh(const std::vector<TermRef> &assertions, Model *model);
+    Result solveFresh(const std::vector<TermRef> &assertions, Model *model,
+                      sat::Solver::Counters &work);
     Result solveIncremental(const std::vector<TermRef> &assertions,
-                            Model *model);
+                            Model *model, sat::Solver::Counters &work);
+
+    /** Add the SAT core's work since @p before to stats_ and the
+     *  registry; returns that work. */
+    sat::Solver::Counters addSatWork(const sat::Solver &sat,
+                                     const sat::Solver::Counters &before);
 
     /** Read back every theory variable of @p assertions from @p sat. */
     void readModel(const BitBlaster &blaster, const sat::Solver &sat,

@@ -2,8 +2,12 @@
  * @file
  * Unit and property tests for the CDCL SAT core: basic propagation, model
  * correctness on random 3-SAT against a brute-force reference, assumption
- * handling, failed-assumption cores, and pigeonhole unsatisfiability.
+ * handling, failed-assumption cores, pigeonhole unsatisfiability, clause
+ * deletion and arena compaction under aggressive reduction, and the
+ * recorded search trajectory of a fixed query stream.
  */
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -447,7 +451,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MinimizeDifferential,
 /** Replay an incremental stitching-style sequence (same database, varying
  *  assumption frames, cancelToRoot between queries) with the reduction
  *  trigger forced to fire constantly. Reason-clause pinning must keep every
- *  answer identical to an unreduced reference. */
+ *  answer identical to an unreduced reference. The database is random
+ *  3-SAT near the satisfiability threshold, with a planted solution so
+ *  that only the assumptions can make a query unsatisfiable; every
+ *  seed's queries take enough conflicts for reduceDB to delete clauses
+ *  and compact the arena. */
 class AggressiveReduceDb : public ::testing::TestWithParam<int>
 {
 };
@@ -456,7 +464,7 @@ TEST_P(AggressiveReduceDb, IncrementalReplayMatchesReference)
 {
     const int seed = GetParam();
     coppelia::Rng rng(9000 + seed);
-    const int nvars = 20;
+    const int nvars = 60;
 
     Solver aggressive;
     aggressive.setReduceDbPolicy(0.0, 0); // reduce on every conflict check
@@ -467,15 +475,26 @@ TEST_P(AggressiveReduceDb, IncrementalReplayMatchesReference)
         ref.newVar();
     }
     bool okA = true, okR = true;
-    for (const auto &c : randomCnf(rng, nvars, 80)) {
+    std::vector<bool> planted;
+    for (int v = 0; v < nvars; ++v)
+        planted.push_back(rng.flip());
+    for (int i = 0; i < 256; ++i) {
+        std::vector<Lit> c;
+        bool satisfied = false;
+        for (int j = 0; j < 3; ++j) {
+            const auto v = static_cast<Var>(rng.below(nvars));
+            c.push_back(Lit(v, rng.flip()));
+            satisfied = satisfied || c.back().sign() != planted[v];
+        }
+        if (!satisfied)
+            c[0] = ~c[0];
         okA = aggressive.addClause(c) && okA;
         okR = ref.addClause(c) && okR;
     }
-    ASSERT_EQ(okA, okR);
-    if (!okA)
-        return;
+    ASSERT_TRUE(okA);
+    ASSERT_TRUE(okR);
 
-    for (int round = 0; round < 12; ++round) {
+    for (int round = 0; round < 30; ++round) {
         std::vector<Lit> assumptions;
         const int n = 1 + static_cast<int>(rng.below(4));
         for (int j = 0; j < n; ++j)
@@ -484,6 +503,10 @@ TEST_P(AggressiveReduceDb, IncrementalReplayMatchesReference)
         const SatResult ra = aggressive.solve(assumptions);
         const SatResult rr = ref.solve(assumptions);
         ASSERT_EQ(ra, rr) << "seed " << seed << " round " << round;
+        // Deleted clauses give their words back: the arena is compacted
+        // before dead words outnumber live ones.
+        EXPECT_LE(aggressive.arenaWords(), 2 * aggressive.liveClauseWords())
+            << "seed " << seed << " round " << round;
         aggressive.cancelToRoot();
         ref.cancelToRoot();
         if (aggressive.inconsistent() || ref.inconsistent()) {
@@ -491,10 +514,96 @@ TEST_P(AggressiveReduceDb, IncrementalReplayMatchesReference)
             break;
         }
     }
+    EXPECT_GT(aggressive.stats().get("clauses_deleted"), 0u)
+        << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggressiveReduceDb,
                          ::testing::Range(0, 30));
+
+// --- the search's trajectory ------------------------------------------------
+
+/** What one run of the recorded query stream did. */
+struct Trajectory
+{
+    std::string results; ///< one of S/U/? per query
+    std::uint64_t conflicts = 0;
+    std::uint64_t decisions = 0;
+    std::uint64_t propagations = 0;
+    std::uint64_t modelHash = 0xcbf29ce484222325ull; ///< FNV-1a
+};
+
+/**
+ * A fixed-seed stream of assumption queries on one incremental instance,
+ * run the way the SMT facade drives the core: cancelToRoot and
+ * resetDecisionState before each query, one new clause between
+ * queries, and reduceDB firing at every check.
+ */
+Trajectory
+runQueryStream(bool minimize)
+{
+    coppelia::Rng rng(77);
+    const int nvars = 150;
+    Solver s;
+    s.setMinimizeLearnts(minimize);
+    s.setReduceDbPolicy(0.0, 0);
+    for (int v = 0; v < nvars; ++v)
+        s.newVar();
+    const auto randomClause = [&rng, nvars](int len) {
+        std::vector<Lit> c;
+        for (int j = 0; j < len; ++j)
+            c.push_back(Lit(static_cast<Var>(rng.below(nvars)), rng.flip()));
+        return c;
+    };
+    for (int i = 0; i < 600; ++i)
+        s.addClause(randomClause(i % 20 == 0 ? 2 : 3 + i % 7 / 6));
+
+    Trajectory t;
+    for (int q = 0; q < 40 && !s.inconsistent(); ++q) {
+        s.cancelToRoot();
+        s.resetDecisionState();
+        s.addClause(randomClause(4));
+        std::vector<Lit> assumptions;
+        const int n = 1 + static_cast<int>(rng.below(4));
+        for (int j = 0; j < n; ++j)
+            assumptions.push_back(
+                Lit(static_cast<Var>(rng.below(nvars)), rng.flip()));
+        const SatResult r = s.solve(assumptions);
+        t.results += r == SatResult::Sat ? 'S'
+                     : r == SatResult::Unsat ? 'U' : '?';
+        if (r == SatResult::Sat) {
+            for (Var v = 0; v < nvars; ++v) {
+                t.modelHash ^= static_cast<std::uint64_t>(s.value(v));
+                t.modelHash *= 0x100000001b3ull;
+            }
+        }
+    }
+    t.conflicts = s.stats().get("conflicts");
+    t.decisions = s.stats().get("decisions");
+    t.propagations = s.stats().get("propagations");
+    return t;
+}
+
+/** Every query makes the decisions, propagations and conflicts recorded
+ *  here and returns the recorded model: a change to the clause layout,
+ *  the watch lists or the decision heap that alters the search shows up
+ *  in tier-1, not only in perfbench's digest. */
+TEST(SatTrajectory, QueryStreamMatchesRecordedSearch)
+{
+    const Trajectory on = runQueryStream(true);
+    EXPECT_EQ(on.results, "SSSSSSSUSSSUSUSSSSSSSSSSSUSSSSUSUSUSSSUS");
+    EXPECT_EQ(on.conflicts, 6866u);
+    EXPECT_EQ(on.decisions, 9400u);
+    EXPECT_EQ(on.propagations, 239954u);
+    EXPECT_EQ(on.modelHash, 0x05797e8ee5deb809ull);
+
+    const Trajectory off = runQueryStream(false);
+    EXPECT_EQ(off.results, "SSSSSSSUSSSUSUSSSSSSSSSSSUSSSSUSUSUSSSUS");
+    EXPECT_EQ(off.conflicts, 7314u);
+    EXPECT_EQ(off.decisions, 10231u);
+    EXPECT_EQ(off.propagations, 253208u);
+    EXPECT_EQ(off.modelHash, 0xf53435bee1db459eull);
+}
 
 } // namespace
 } // namespace coppelia::sat

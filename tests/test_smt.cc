@@ -4,8 +4,8 @@
  * concrete term evaluation, bit-blasting correctness (property sweeps pin
  * variables to random constants and require the solver's model to agree
  * with reference arithmetic), counterexample reuse, including a
- * differential check against a plain scan, and the conflict budget's
- * single retry.
+ * differential check against a plain scan, the conflict budget's
+ * single retry, and the kernel spans of a traced query.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 #include "solver/querylog.hh"
 #include "solver/solver.hh"
 #include "solver/term.hh"
+#include "trace/fold.hh"
+#include "trace/trace.hh"
 #include "util/rng.hh"
 
 namespace coppelia::smt
@@ -829,6 +831,64 @@ TEST(BlastSoundness, NonByteWidthRangeConstraint)
               Result::Sat);
     EXPECT_EQ(s.check(tm.mkEq(z32, tm.mkConst(8, 32)), nullptr),
               Result::Unsat);
+}
+
+/** One traced query splits its smt.solve span into the three kernels:
+ *  smt.blast (assertions to literals), sat.cdcl (the SAT core) and
+ *  smt.model (model readback), each inside smt.solve on the same track. */
+TEST(SolverTrace, KernelSpansNestUnderSolve)
+{
+    for (bool incremental : {true, false}) {
+        trace::setEnabled(true);
+        trace::clear();
+        TermManager tm;
+        SolverOptions opts;
+        opts.incremental = incremental;
+        Solver s(tm, opts);
+        TermRef x = tm.mkVar("x", 16), y = tm.mkVar("y", 16);
+        Model m;
+        ASSERT_EQ(s.check({tm.mkEq(tm.mkMul(x, y), tm.mkConst(16, 15)),
+                           tm.mkEq(x, tm.mkConst(16, 3))},
+                          &m),
+                  Result::Sat);
+        trace::setEnabled(false);
+        const std::vector<trace::TrackEvents> tracks = trace::snapshot();
+        trace::clear();
+
+        const trace::Event *solve = nullptr;
+        std::vector<const trace::Event *> kernels;
+        for (const trace::TrackEvents &t : tracks) {
+            for (const trace::Event &e : t.events) {
+                if (e.phase != 'X')
+                    continue;
+                const std::string name = e.name;
+                if (name == "smt.solve")
+                    solve = &e;
+                else if (name == "smt.blast" || name == "sat.cdcl" ||
+                         name == "smt.model")
+                    kernels.push_back(&e);
+            }
+        }
+        ASSERT_NE(solve, nullptr);
+        ASSERT_EQ(kernels.size(), 3u) << "incremental=" << incremental;
+        for (const trace::Event *k : kernels) {
+            EXPECT_GE(k->startUs, solve->startUs) << k->name;
+            EXPECT_LE(k->startUs + k->durUs, solve->startUs + solve->durUs)
+                << k->name;
+        }
+
+        const trace::FoldReport fold = trace::foldTracks(tracks);
+        const trace::FoldRow *row = fold.find("smt.solve");
+        ASSERT_NE(row, nullptr);
+        std::uint64_t nested = 0;
+        for (const char *name : {"smt.blast", "sat.cdcl", "smt.model"}) {
+            const trace::FoldRow *k = fold.find(name);
+            ASSERT_NE(k, nullptr) << name;
+            EXPECT_EQ(k->count, 1u) << name;
+            nested += k->totalUs;
+        }
+        EXPECT_EQ(row->selfUs, row->totalUs - nested);
+    }
 }
 
 } // namespace
