@@ -85,6 +85,10 @@ checkAssertion(const rtl::Design &design,
     const int max_bound = opts.preset == Preset::IfvLike ? 1
                                                          : opts.maxBound;
     std::vector<TermRef> path; // accumulated input constraints
+    // The assertion at every depth whose query came back Unsat, assumed
+    // by every later query: it removes no witness and keeps the whole
+    // unrolling in the query's cone (see the file comment).
+    std::vector<TermRef> refuted;
     std::vector<std::unordered_map<SignalId, TermRef>> input_vars_per_t;
 
     for (int depth = 1; depth <= max_bound; ++depth) {
@@ -139,6 +143,7 @@ checkAssertion(const rtl::Design &design,
             panic("bmc assertion lowering suspended");
         std::vector<TermRef> query = path;
         query.push_back(tm.mkNot(*safe));
+        query.insert(query.end(), refuted.begin(), refuted.end());
 
         smt::Model model;
         smt::Result qr = solver.check(query, &model);
@@ -173,6 +178,8 @@ checkAssertion(const rtl::Design &design,
             res.replayableFromReset = replayFromReset(design, assertion, res);
             break;
         }
+        if (qr == smt::Result::Unsat)
+            refuted.push_back(*safe);
         state = std::move(next);
     }
 

@@ -17,6 +17,13 @@
  *  - EbmcLike: unrolls from the reset state with an increasing bound, so
  *    any trace it finds is replayable by construction, at the cost of
  *    much larger queries per added cycle.
+ *
+ * The depth-k query also assumes the assertion at every depth whose
+ * query came back Unsat. That removes no witness: depth j's input
+ * constraints are a prefix of depth k's, so a depth-k trace violating at
+ * j would have made depth j Sat. It keeps every earlier depth in the
+ * query's cone, so the incremental solver, which decides only a query's
+ * cone, decides the whole unrolling at every depth.
  */
 
 #ifndef COPPELIA_BMC_BMC_HH

@@ -128,8 +128,10 @@ BitBlaster::Bits
 BitBlaster::blast(TermRef ref)
 {
     // Terms only grow, and every ref names one of them.
-    if (termRange_.size() < static_cast<std::size_t>(tm_.numTerms()))
+    if (termRange_.size() < static_cast<std::size_t>(tm_.numTerms())) {
         termRange_.resize(tm_.numTerms());
+        termVars_.resize(tm_.numTerms());
+    }
     if (lowered(ref)) {
         ++cacheHits_;
         return bits(termRange_[ref]);
@@ -152,7 +154,9 @@ BitBlaster::blast(TermRef ref)
             }
             continue;
         }
+        const sat::Var first = sat_.numVars();
         termRange_[r] = lower(t);
+        termVars_[r] = {first, sat_.numVars()};
         ++termsLowered_;
     }
     return bits(termRange_[ref]);
@@ -345,6 +349,33 @@ BitBlaster::assertTrue(TermRef ref)
     if (tm_.widthOf(ref) != 1)
         fatal("assertTrue on non-boolean term");
     sat_.addUnit(blast(ref)[0]);
+}
+
+std::span<const sat::VarRange>
+BitBlaster::cone(std::span<const TermRef> roots)
+{
+    if (coneMark_.size() < termVars_.size())
+        coneMark_.resize(termVars_.size(), 0);
+    if (++coneEpoch_ == 0) { // wrapped: no mark may match a new epoch
+        std::fill(coneMark_.begin(), coneMark_.end(), 0);
+        coneEpoch_ = 1;
+    }
+    cone_.clear();
+    coneStack_.assign(roots.begin(), roots.end());
+    while (!coneStack_.empty()) {
+        const TermRef r = coneStack_.back();
+        coneStack_.pop_back();
+        if (coneMark_[r] == coneEpoch_)
+            continue;
+        coneMark_[r] = coneEpoch_;
+        if (termVars_[r].begin != termVars_[r].end)
+            cone_.push_back(termVars_[r]);
+        for (TermRef a : tm_.term(r).args) {
+            if (a != NoTerm && coneMark_[a] != coneEpoch_)
+                coneStack_.push_back(a);
+        }
+    }
+    return cone_;
 }
 
 BitBlaster::Bits

@@ -10,6 +10,12 @@
  * variable id, hold each term's and each variable's range in the pool.
  * A variable's term shares the variable's range, and an extract a
  * sub-range of its operand's, so neither copies literals.
+ *
+ * lower() creates a term's SAT variables consecutively, so a third
+ * table holds, per term, the range of SAT variables its lowering
+ * created. cone() walks a query's term DAG and returns those ranges:
+ * the SAT variables of the query's cone, which the facade hands the
+ * SAT core as its decision set.
  */
 
 #ifndef COPPELIA_SOLVER_BITBLAST_HH
@@ -41,6 +47,16 @@ class BitBlaster
 
     /** Assert that a width-1 term is true. */
     void assertTrue(TermRef ref);
+
+    /**
+     * The SAT variables that lowering the terms under @p roots created,
+     * as ranges in the order the walk meets them, unsorted and not
+     * merged. The set is closed under gate inputs: it holds every
+     * variable the roots' literals depend on except the constant-true
+     * one, which is assigned at level 0. Every root must have been
+     * blasted. The view is valid until the next cone() call.
+     */
+    std::span<const sat::VarRange> cone(std::span<const TermRef> roots);
 
     /** SAT literals allocated for a theory variable (for model readback);
      *  empty if the variable never appeared in an asserted term. */
@@ -100,8 +116,15 @@ class BitBlaster
     std::vector<sat::Lit> pool_;    ///< every lowered literal run
     std::vector<Range> termRange_;  ///< indexed by TermRef
     std::vector<Range> varRange_;   ///< indexed by theory variable id
+    /** Indexed by TermRef: the SAT variables lower() created for it. */
+    std::vector<sat::VarRange> termVars_;
     std::vector<sat::Lit> out_;     ///< lower()'s output, reused
     std::vector<std::pair<TermRef, bool>> stack_; ///< blast()'s, reused
+    // cone()'s walk: a term is visited when its mark equals the epoch.
+    std::vector<std::uint32_t> coneMark_; ///< indexed by TermRef
+    std::uint32_t coneEpoch_ = 0;
+    std::vector<TermRef> coneStack_;
+    std::vector<sat::VarRange> cone_; ///< cone()'s result, reused
     std::uint64_t cacheHits_ = 0;
     std::uint64_t termsLowered_ = 0;
 };

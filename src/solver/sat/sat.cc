@@ -26,6 +26,7 @@ Solver::newVar()
     binWatches_.emplace_back();
     binWatches_.emplace_back();
     heapPos_.push_back(-1);
+    decide_.push_back(1);
     heapInsert(v);
     return v;
 }
@@ -88,11 +89,14 @@ Solver::heapUpdate(Var v)
 }
 
 void
-Solver::resetDecisionState()
+Solver::resetDecisionState(std::span<const VarRange> decide)
 {
     varInc_ = 1.0;
     std::fill(activity_.begin(), activity_.end(), 0.0);
     std::fill(savedPhase_.begin(), savedPhase_.end(), LBool::False);
+    std::fill(decide_.begin(), decide_.end(), 0);
+    for (const VarRange &r : decide)
+        std::fill(decide_.begin() + r.begin, decide_.begin() + r.end, 1);
     heap_.clear();
     std::fill(heapPos_.begin(), heapPos_.end(), -1);
     // Rebuild in index order: with all activities equal, the heap then
@@ -100,7 +104,7 @@ Solver::resetDecisionState()
     // Equal activities never sift, so index order is already a valid heap
     // and the variables are appended directly.
     for (Var v = 0; v < numVars(); ++v) {
-        if (value(v) == LBool::Undef) {
+        if (decide_[v] && value(v) == LBool::Undef) {
             heapPos_[v] = static_cast<int>(heap_.size());
             heap_.push_back(v);
         }
@@ -566,7 +570,8 @@ Solver::cancelUntil(int level)
         litValue_[p.code()] = LBool::Undef;
         litValue_[p.code() ^ 1] = LBool::Undef;
         varInfo_[v].reason = NoClause;
-        heapInsert(v);
+        if (decide_[v])
+            heapInsert(v);
     }
     trail_.resize(trailLim_[level]);
     trailLim_.resize(level);
@@ -740,7 +745,7 @@ Solver::solve(const std::vector<Lit> &assumptions,
 
             Lit next = pickBranchLit();
             if (next.isUndef())
-                return SatResult::Sat; // all variables assigned
+                return SatResult::Sat; // every decision variable assigned
             ++counters_.decisions;
             trailLim_.push_back(static_cast<int>(trail_.size()));
             enqueue(next, NoClause);

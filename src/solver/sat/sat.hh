@@ -8,6 +8,14 @@
  * decision-procedure core under the bit-vector theory layer (the
  * KLEE/STP stand-in of the reproduction).
  *
+ * An incremental caller can restrict decisions to a set of variables,
+ * given as ranges (resetDecisionState): only those enter the decision
+ * heap, and solve() answers Sat once they are all assigned and
+ * propagation is quiet, leaving the rest unassigned. The SMT facade
+ * hands it the SAT variables of the query's term cone, so a query on a
+ * persistent instance leaves earlier queries' circuits unassigned. A
+ * fresh solver decides every variable.
+ *
  * Memory is laid out flat, as in MiniSat (Een & Sorensson, SAT 2003):
  * every clause lives in one word arena, addressed by its offset, as a
  * header word (size, learnt, deleted), the literal codes inline, and for
@@ -64,6 +72,13 @@ class Lit
     int code_;
 };
 
+/** The variables [begin, end). */
+struct VarRange
+{
+    Var begin = 0;
+    Var end = 0;
+};
+
 /** Three-valued assignment. */
 enum class LBool : std::int8_t
 {
@@ -83,8 +98,9 @@ enum class SatResult
 /**
  * The CDCL solver. Usage: newVar() to allocate variables, addClause() to
  * install the problem, then solve() possibly with assumptions. After Sat,
- * value() reads the model; after Unsat under assumptions, failedAssumptions()
- * lists an unsatisfiable core subset of them.
+ * value() reads the model (every decision variable is assigned); after
+ * Unsat under assumptions, failedAssumptions() lists an unsatisfiable
+ * core subset of them.
  */
 class Solver
 {
@@ -137,7 +153,9 @@ class Solver
     }
 
     /**
-     * Solve under the given assumptions.
+     * Solve under the given assumptions. Sat means every decision
+     * variable is assigned and propagation found no conflict; variables
+     * outside the decision set may be left unassigned.
      * @param conflict_budget max learned conflicts before giving up
      *        (negative = unlimited).
      */
@@ -181,8 +199,25 @@ class Solver
      * callers that steer by model content (the BSEE stitches registers
      * whose model values stay near reset, i.e. mostly zero) need the
      * fresh solver's all-False phase bias, not last query's witness.
+     *
+     * Only the variables in @p decide may be decided until the next
+     * reset; variables created after it may be decided too. A Sat
+     * answer then assigns the decision set and may leave the rest
+     * unassigned. That is sound when the set is closed under the
+     * clauses that define it, as a term cone of Tseitin gates is: every
+     * variable outside it is a free input, which may take any value, or
+     * a gate, which takes the value its inputs give it.
      */
-    void resetDecisionState();
+    void resetDecisionState(std::span<const VarRange> decide);
+
+    /** The reset above with every variable in the decision set, as in a
+     *  fresh solver. */
+    void
+    resetDecisionState()
+    {
+        const VarRange all{0, numVars()};
+        resetDecisionState({&all, 1});
+    }
 
     /** Learned clauses currently retained in the database. Across
      *  incremental solve() calls this measures clause-learning reuse:
@@ -346,6 +381,8 @@ class Solver
     void siftDown(int i);
     std::vector<Var> heap_;
     std::vector<int> heapPos_; ///< -1 when not in heap
+    /** 1 for a variable in the decision set: only those enter heap_. */
+    std::vector<char> decide_;
 
     std::vector<Lit> conflictCore_;
     std::vector<char> seen_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "metrics/metrics.hh"
 #include "solver/bitblast.hh"
@@ -221,17 +222,23 @@ Solver::readModel(const BitBlaster &blaster, const sat::Solver &sat,
                   const std::vector<TermRef> &assertions, Model *model) const
 {
     trace::Span span("smt.model", "solver");
-    // Read back every theory variable that occurs in the assertions.
+    // Read back every theory variable that occurs in the assertions,
+    // found in one walk over all of them.
     std::vector<int> vars;
-    for (TermRef a : assertions)
-        tm_.collectVars(a, vars);
+    tm_.collectVars(assertions, vars);
     std::sort(vars.begin(), vars.end());
-    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
     for (int v : vars) {
         std::uint64_t bits = 0;
         const BitBlaster::Bits lits = blaster.varLits(v);
         for (std::size_t i = 0; i < lits.size(); ++i) {
-            if (sat.value(lits[i]) == sat::LBool::True)
+            const sat::LBool b = sat.value(lits[i]);
+            // The variable is in the assertions' cone, so the core
+            // decided it; an unassigned bit means the decision set
+            // missed it, and reading it as 0 would return a wrong model.
+            if (b == sat::LBool::Undef)
+                panic("model readback: bit ", i, " of variable ",
+                      tm_.varName(v), " is unassigned");
+            if (b == sat::LBool::True)
                 bits |= 1ull << i;
         }
         model->set(v, bits);
@@ -298,15 +305,9 @@ Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model,
     const std::uint64_t hits0 = incBlaster_->cacheHits();
     const std::uint64_t lowered0 = incBlaster_->termsLowered();
 
-    // The previous query's model (a full trail above level 0) must be
-    // undone before this query's Tseitin clauses can be installed.
+    // The previous query's model (a trail above level 0) must be undone
+    // before this query's Tseitin clauses can be installed.
     incSat_->cancelToRoot();
-    // Canonical decision state per query: retained clauses keep their
-    // pruning power, but model selection must not be steered by earlier
-    // queries' saved phases — phase saving reproduces the previous
-    // witness, and the BSE engine's stitching heuristics depend on the
-    // fresh solver's all-False bias (model values near reset).
-    incSat_->resetDecisionState();
 
     // Each assertion becomes an assumption on its indicator literal rather
     // than a unit clause: the frame it opens closes automatically when the
@@ -314,6 +315,7 @@ Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model,
     // candidate can leak into another.
     std::vector<sat::Lit> assumptions;
     assumptions.reserve(assertions.size());
+    std::span<const sat::VarRange> cone;
     {
         trace::Span span("smt.blast", "solver");
         for (TermRef a : assertions) {
@@ -321,7 +323,20 @@ Solver::solveIncremental(const std::vector<TermRef> &assertions, Model *model,
                 fatal("solver assertion is not boolean");
             assumptions.push_back(incBlaster_->blast(a)[0]);
         }
+        cone = incBlaster_->cone(assertions);
     }
+    // Canonical decision state per query: retained clauses keep their
+    // pruning power, but model selection must not be steered by earlier
+    // queries' saved phases — phase saving reproduces the previous
+    // witness, and the BSE engine's stitching heuristics depend on the
+    // fresh solver's all-False bias (model values near reset). Only the
+    // assertions' cone is decided: every clause of the instance defines
+    // a gate, is the constant-true unit or is implied by those, and the
+    // cone is closed under gate inputs, so a conflict-free assignment of
+    // it extends to a model of the whole instance, each gate outside it
+    // taking the value its inputs give it. Earlier queries' circuits are
+    // left unassigned.
+    incSat_->resetDecisionState(cone);
     stats_.inc("blast_cache_hits", incBlaster_->cacheHits() - hits0);
     stats_.inc("blast_terms_lowered",
                incBlaster_->termsLowered() - lowered0);

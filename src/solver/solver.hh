@@ -13,7 +13,13 @@
  *    This is the assumption-frame scheme of incremental MiniSat/STP: the
  *    shared transition-relation terms of the BSEE's thousands of
  *    closely-related queries (§II-D6/D7) blast once, and conflict clauses
- *    learned refuting one candidate prune the next.
+ *    learned refuting one candidate prune the next. Each query decides
+ *    only the SAT variables of its own term cone, which the blaster
+ *    reports as ranges after blasting the assertions: a Sat answer
+ *    leaves earlier queries' circuits unassigned, as a fresh instance
+ *    holding only the cone would, the way KLEE hands STP only the
+ *    query's own constraints. The cone is closed under gate inputs, so
+ *    the model it gives extends to the whole instance.
  *
  *  - Fresh (escape hatch, `SolverOptions::incremental = false`): a brand
  *    new SAT instance per query, re-blasting everything — the original
@@ -29,7 +35,9 @@
  * `smt.blast` (assertions to indicator literals, in the blaster's literal
  * pool), `sat.cdcl` (the core's solve over its clause arena) and
  * `smt.model` (model readback). The dispatch's SAT work comes from the
- * core's integer counters, read before and after the solve call.
+ * core's integer counters, read before and after the solve call. Model
+ * readback panics on an unassigned bit of an assertion variable rather
+ * than read it as 0.
  *
  * Counterexample reuse in front of either backend mirrors KLEE's
  * counterexample caching (enabled in the paper's "Original KLEE" baseline

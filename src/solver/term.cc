@@ -653,11 +653,12 @@ TermManager::eval(TermRef ref, const Model &model) const
 }
 
 void
-TermManager::collectVars(TermRef ref, std::vector<int> &out_vars) const
+TermManager::collectVars(std::span<const TermRef> roots,
+                         std::vector<int> &out_vars) const
 {
     std::vector<char> seen_var(varNames_.size(), 0);
     std::vector<char> seen_term(terms_.size(), 0);
-    std::vector<TermRef> stack{ref};
+    std::vector<TermRef> stack(roots.begin(), roots.end());
     while (!stack.empty()) {
         TermRef r = stack.back();
         stack.pop_back();

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -179,8 +180,18 @@ class TermManager
     /** Concrete evaluation under a model (unassigned vars read 0). */
     std::uint64_t eval(TermRef ref, const Model &model) const;
 
-    /** Collect the variable ids appearing in a term. */
-    void collectVars(TermRef ref, std::vector<int> &out_vars) const;
+    /** Append the ids of the variables appearing under @p roots to
+     *  @p out_vars, each once, in the order one walk over all the roots
+     *  meets them. */
+    void collectVars(std::span<const TermRef> roots,
+                     std::vector<int> &out_vars) const;
+
+    /** The same for one term. */
+    void
+    collectVars(TermRef ref, std::vector<int> &out_vars) const
+    {
+        collectVars({&ref, 1}, out_vars);
+    }
 
     /** Render as an S-expression (debugging). */
     std::string toString(TermRef ref) const;

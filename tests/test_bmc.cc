@@ -91,6 +91,32 @@ TEST(Bmc, DeeperBugNeedsDeeperBound)
     EXPECT_TRUE(r.replayableFromReset);
 }
 
+/** The EBMC-like search on b20's incomplete patch, pinned: depth 1 is
+ *  refuted and depth 2 found. The depth-2 query assumes the assertion at
+ *  depth 1, so its cone spans the whole unrolling and the solver decides
+ *  every depth's circuit, as a solver deciding every variable would.
+ *  Dropping that assumption leaves part of depth 1's circuit undecided
+ *  and changes the work recorded here. */
+TEST(Bmc, EbmcLikeSearchMatchesRecordedTrajectory)
+{
+    cpu::BugConfig config;
+    config.set(cpu::BugId::b20, cpu::BugState::Patched);
+    rtl::Design d = cpu::or1k::buildOr1200(config);
+    auto asserts = cpu::or1k::or1200Assertions(d);
+    const props::Assertion *a = nullptr;
+    for (const props::Assertion &candidate : asserts) {
+        if (candidate.bugId == "b20")
+            a = &candidate;
+    }
+    ASSERT_NE(a, nullptr);
+    const BmcResult r = checkAssertion(d, *a, optionsFor(Preset::EbmcLike));
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.depth, 2);
+    EXPECT_EQ(r.stats.get("solver_sat_conflicts"), 474u);
+    EXPECT_EQ(r.stats.get("solver_sat_decisions"), 9050u);
+    EXPECT_EQ(r.stats.get("solver_sat_propagations"), 388463u);
+}
+
 TEST(Bmc, SolverQueriesReconcileWithOutcomeBuckets)
 {
     // A BMC result carries every solver counter, so each query lands in

@@ -490,7 +490,7 @@ metaLines(const std::string &path)
 
 TEST(Campaign, BudgetExhaustedJobRunsOnce)
 {
-    // At one conflict per query b28's search ends budget-exhausted in
+    // At one conflict per query b13's search ends budget-exhausted in
     // well under a second. It is recorded once, as a completed job with
     // that outcome, and its one run is all the solver work the process
     // did: the registry agrees with the record.
@@ -501,7 +501,7 @@ TEST(Campaign, BudgetExhaustedJobRunsOnce)
     spec.artifactDir = testing::TempDir() + "coppelia_runs_once";
     std::filesystem::remove_all(spec.artifactDir);
     campaign::JobSpec job;
-    job.bug = cpu::BugId::b28;
+    job.bug = cpu::BugId::b13;
     spec.jobs.push_back(job);
 
     std::ostringstream jsonl;

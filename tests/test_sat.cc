@@ -3,10 +3,12 @@
  * Unit and property tests for the CDCL SAT core: basic propagation, model
  * correctness on random 3-SAT against a brute-force reference, assumption
  * handling, failed-assumption cores, pigeonhole unsatisfiability, clause
- * deletion and arena compaction under aggressive reduction, and the
+ * deletion and arena compaction under aggressive reduction, solves
+ * restricted to a decision set against unrestricted ones, and the
  * recorded search trajectory of a fixed query stream.
  */
 
+#include <array>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -520,6 +522,161 @@ TEST_P(AggressiveReduceDb, IncrementalReplayMatchesReference)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggressiveReduceDb,
                          ::testing::Range(0, 30));
+
+// --- decision sets -----------------------------------------------------------
+
+/** One Tseitin gate: the AND or XOR of two earlier nodes' literals. */
+struct Gate
+{
+    Lit a, b;
+    bool isXor = false;
+};
+
+/** A random circuit over @p inputs free variables: gate g is variable
+ *  inputs + g and reads only lower-numbered variables. */
+std::vector<Gate>
+randomGates(coppelia::Rng &rng, int inputs, int n)
+{
+    std::vector<Gate> gates;
+    for (int g = 0; g < n; ++g) {
+        const auto pick = [&rng, inputs, g] {
+            return Lit(static_cast<Var>(rng.below(inputs + g)), rng.flip());
+        };
+        const Lit a = pick();
+        const Lit b = pick();
+        gates.push_back({a, b, rng.below(3) == 0});
+    }
+    return gates;
+}
+
+void
+addCircuit(Solver &s, int inputs, const std::vector<Gate> &gates)
+{
+    for (std::size_t v = 0; v < inputs + gates.size(); ++v)
+        s.newVar();
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        const Lit o(static_cast<Var>(inputs + g), false);
+        const Lit a = gates[g].a;
+        const Lit b = gates[g].b;
+        if (gates[g].isXor) {
+            s.addTernary(~o, a, b);
+            s.addTernary(~o, ~a, ~b);
+            s.addTernary(o, ~a, b);
+            s.addTernary(o, a, ~b);
+        } else {
+            s.addBinary(~o, a);
+            s.addBinary(~o, b);
+            s.addTernary(o, ~a, ~b);
+        }
+    }
+}
+
+/** Per variable, 1 when it is in the cone of @p roots' variables. */
+std::vector<char>
+coneOf(const std::vector<Lit> &roots, int inputs,
+       const std::vector<Gate> &gates)
+{
+    std::vector<char> in(inputs + gates.size(), 0);
+    std::vector<Var> stack;
+    for (Lit l : roots)
+        stack.push_back(l.var());
+    while (!stack.empty()) {
+        const Var v = stack.back();
+        stack.pop_back();
+        if (in[v])
+            continue;
+        in[v] = 1;
+        if (v >= inputs) {
+            stack.push_back(gates[v - inputs].a.var());
+            stack.push_back(gates[v - inputs].b.var());
+        }
+    }
+    return in;
+}
+
+/**
+ * A solve restricted to the cone of its assumptions, on seeded random
+ * circuits: it agrees with an unrestricted solver on the verdict of
+ * every query of a stream on one incremental instance, and a Sat answer
+ * assigns every decision variable, each gate the value its inputs give
+ * it, so the model extends to the whole circuit.
+ */
+class DecisionSet : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(DecisionSet, RestrictedSolveAgreesAndAssignsTheSet)
+{
+    const int seed = GetParam();
+    coppelia::Rng rng(12000 + seed);
+    const int inputs = 12;
+    const std::vector<Gate> gates = randomGates(rng, inputs, 90);
+    Solver restricted;
+    Solver full;
+    addCircuit(restricted, inputs, gates);
+    addCircuit(full, inputs, gates);
+
+    int sat = 0;
+    int unsat = 0;
+    std::uint64_t left_unassigned = 0;
+    for (int q = 0; q < 30; ++q) {
+        std::vector<Lit> assumptions;
+        const int n = 1 + static_cast<int>(rng.below(6));
+        for (int j = 0; j < n; ++j)
+            assumptions.push_back(
+                Lit(static_cast<Var>(inputs + rng.below(gates.size())),
+                    rng.flip()));
+        const std::vector<char> in = coneOf(assumptions, inputs, gates);
+        std::vector<VarRange> ranges;
+        for (Var v = 0; v < static_cast<Var>(in.size()); ++v) {
+            if (!in[v])
+                continue;
+            if (!ranges.empty() && ranges.back().end == v)
+                ++ranges.back().end;
+            else
+                ranges.push_back({v, v + 1});
+        }
+
+        restricted.cancelToRoot();
+        restricted.resetDecisionState(ranges);
+        full.cancelToRoot();
+        full.resetDecisionState();
+        const SatResult r = restricted.solve(assumptions);
+        ASSERT_EQ(r, full.solve(assumptions))
+            << "seed " << seed << " query " << q;
+        if (r != SatResult::Sat) {
+            ++unsat;
+            continue;
+        }
+        ++sat;
+        std::vector<char> val(in.size(), 0);
+        for (Var v = 0; v < static_cast<Var>(in.size()); ++v) {
+            if (!in[v]) {
+                left_unassigned += restricted.value(v) == LBool::Undef;
+                continue;
+            }
+            ASSERT_NE(restricted.value(v), LBool::Undef)
+                << "seed " << seed << " query " << q << " var " << v;
+            val[v] = restricted.value(v) == LBool::True;
+            if (v < inputs)
+                continue;
+            const Gate &g = gates[v - inputs];
+            const bool a = val[g.a.var()] != g.a.sign();
+            const bool b = val[g.b.var()] != g.b.sign();
+            EXPECT_EQ(val[v] != 0, g.isXor ? a != b : a && b)
+                << "seed " << seed << " query " << q << " gate " << v;
+        }
+        for (Lit l : assumptions)
+            EXPECT_EQ(restricted.value(l), LBool::True);
+    }
+    // Both verdicts occur, and the restriction left variables unassigned
+    // that the unrestricted solver would have decided.
+    EXPECT_GT(sat, 0) << "seed " << seed;
+    EXPECT_GT(unsat, 0) << "seed " << seed;
+    EXPECT_GT(left_unassigned, 0u) << "seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DecisionSet, ::testing::Range(0, 30));
 
 // --- the search's trajectory ------------------------------------------------
 

@@ -490,6 +490,51 @@ TEST(Incremental, ResetDiscardsSolverStateButStaysCorrect)
 }
 
 /**
+ * A query decides only its own cone. On one incremental instance, a
+ * small query that follows an unrelated large one makes exactly the
+ * decisions, conflicts and propagations of a second instance that only
+ * ever saw the small query, and returns the same model. An instance that
+ * decided every variable it had blasted would assign the large query's
+ * circuit again on the small query's Sat answer.
+ */
+TEST(Incremental, QueryDecidesOnlyItsCone)
+{
+    TermManager tm;
+    SolverOptions opts;
+    opts.maxRecentModels = 0;
+    Solver warm(tm, opts);
+    Solver cold(tm, opts);
+
+    TermRef a = tm.mkVar("a", 16);
+    TermRef b = tm.mkVar("b", 16);
+    const std::vector<TermRef> large{
+        tm.mkEq(tm.mkMul(a, b), tm.mkConst(16, 0x9c7d)),
+        tm.mkUlt(tm.mkConst(16, 1), a), tm.mkUlt(tm.mkConst(16, 1), b)};
+    ASSERT_EQ(warm.check(large, nullptr), Result::Sat);
+
+    TermRef x = tm.mkVar("x", 8);
+    TermRef y = tm.mkVar("y", 8);
+    const std::vector<TermRef> small{
+        tm.mkEq(tm.mkMul(x, y), tm.mkConst(8, 0x8f)),
+        tm.mkUlt(y, x)};
+    const StatGroup before = warm.stats();
+    Model mw;
+    Model mc;
+    ASSERT_EQ(warm.check(small, &mw), Result::Sat);
+    ASSERT_EQ(cold.check(small, &mc), Result::Sat);
+    for (const char *counter :
+         {"sat_decisions", "sat_conflicts", "sat_propagations"}) {
+        EXPECT_EQ(warm.stats().get(counter) - before.get(counter),
+                  cold.stats().get(counter))
+            << counter;
+    }
+    EXPECT_GT(cold.stats().get("sat_conflicts"), 0u);
+    EXPECT_EQ(mw.all(), mc.all());
+    EXPECT_EQ(tm.eval(small[0], mw), 1u);
+    EXPECT_EQ(tm.eval(small[1], mw), 1u);
+}
+
+/**
  * Regression for the Unknown/Unsat conflation fix: a query that needs at
  * least one conflict, solved under conflictBudget that the budget check
  * trips on, must come back Unknown — never Unsat — and a follow-up
