@@ -14,6 +14,7 @@
 #include "bench_common.hh"
 
 #include "rtl/builder.hh"
+#include "solver/solver.hh"
 #include "sym/binding.hh"
 #include "sym/executor.hh"
 
@@ -50,7 +51,7 @@ forwardExplore(const rtl::Design &d, int depth_limit)
 {
     smt::TermManager tm;
     smt::Solver solver(tm);
-    sym::CycleExplorer ex(d, tm, solver);
+    sym::CycleExplorer ex(d, tm);
 
     std::vector<rtl::SignalId> regs;
     for (rtl::SignalId s = 0; s < d.numSignals(); ++s) {
@@ -141,7 +142,7 @@ main()
         // One forward cycle from reset to measure N_f.
         smt::TermManager tm;
         smt::Solver solver(tm);
-        sym::CycleExplorer ex(d, tm, solver);
+        sym::CycleExplorer ex(d, tm);
         sym::BoundState bs = sym::bindFromReset(d, tm, "f_");
         std::vector<rtl::SignalId> regs;
         for (rtl::SignalId s = 0; s < d.numSignals(); ++s) {

@@ -14,6 +14,7 @@
 
 #include "bench_common.hh"
 
+#include "solver/solver.hh"
 #include "sym/binding.hh"
 #include "sym/executor.hh"
 
@@ -40,7 +41,7 @@ run(sym::SearchMode mode)
     eopts.search = mode;
     eopts.bfsQuota = 4; // scaled version of the paper's 10k/500k split
     eopts.dfsQuota = 200;
-    sym::CycleExplorer ex(d, tm, solver, eopts);
+    sym::CycleExplorer ex(d, tm, eopts);
 
     sym::BoundState bs = sym::bindFromReset(d, tm, "c_");
     std::vector<rtl::SignalId> regs;

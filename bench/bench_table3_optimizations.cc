@@ -21,6 +21,7 @@
 #include "rtl/passes/passes.hh"
 #include <unordered_set>
 
+#include "solver/solver.hh"
 #include "sym/binding.hh"
 #include "sym/executor.hh"
 
@@ -62,7 +63,7 @@ forwardSearch(const rtl::Design &design, const props::Assertion &assertion,
     sym::ExplorerOptions eopts;
     eopts.search = cfg.search;
     eopts.timeLimitSeconds = 60;
-    sym::CycleExplorer explorer(design, tm, solver, eopts);
+    sym::CycleExplorer explorer(design, tm, eopts);
 
     // Symbolic roots: the assertion's cone registers (with CoI) or every
     // register (without) — §II-D3.

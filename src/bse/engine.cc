@@ -128,7 +128,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     solver_opts.conflictBudget = opts_.solverConflictBudget;
     solver_opts.minimize = use_minimization && opts_.solverMinimize;
     smt::Solver solver(tm, solver_opts);
-    sym::CycleExplorer explorer(design_, tm, solver, opts_.explorer);
+    sym::CycleExplorer explorer(design_, tm, opts_.explorer);
 
     // Three-valued check with one retry: Unknown means the conflict
     // budget died, NOT that the query is unsat. escalate() retries once
@@ -216,6 +216,7 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         query.push_back(diff_bound);
         query.push_back(
             tm.mkNot(lowerOverPostState(assertion.cond, next_regs)));
+        result.stats.inc("refute_queries");
         return solver.check(query, nullptr) == smt::Result::Unsat;
     };
 
@@ -373,7 +374,10 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
         // concrete: the solver unit-propagates the whole state). Only when
         // no leaf closes the search do we fall back to the first leaf that
         // reaches the target from *some* state — the intermediate state to
-        // stitch backward from.
+        // stitch backward from. Both queries conjoin the leaf's path
+        // condition, so a leaf on an infeasible path (the explorer forks
+        // without asking the solver) answers Unsat to both and is passed
+        // over.
         bool found_candidate = false;
         bool closed_from_reset = false;
         Model candidate_model;

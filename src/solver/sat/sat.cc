@@ -91,24 +91,48 @@ Solver::heapUpdate(Var v)
 void
 Solver::resetDecisionState(std::span<const VarRange> decide)
 {
+    // Undo only what can have moved since the last reset: activities of
+    // the bumped variables, and the phases and flags of the decision set
+    // (a phase is saved for nothing else), then empty the heap.
     varInc_ = 1.0;
-    std::fill(activity_.begin(), activity_.end(), 0.0);
-    std::fill(savedPhase_.begin(), savedPhase_.end(), LBool::False);
-    std::fill(decide_.begin(), decide_.end(), 0);
-    for (const VarRange &r : decide)
-        std::fill(decide_.begin() + r.begin, decide_.begin() + r.end, 1);
+    for (Var v : bumped_)
+        activity_[v] = 0.0;
+    bumped_.clear();
+    const auto undecide = [this](Var begin, Var end) {
+        std::fill(savedPhase_.begin() + begin, savedPhase_.begin() + end,
+                  LBool::False);
+        std::fill(decide_.begin() + begin, decide_.begin() + end, 0);
+    };
+    for (const VarRange &r : decideRanges_)
+        undecide(r.begin, r.end);
+    undecide(varsAtReset_, numVars());
+    for (Var v : heap_)
+        heapPos_[v] = -1;
     heap_.clear();
-    std::fill(heapPos_.begin(), heapPos_.end(), -1);
+
     // Rebuild in index order: with all activities equal, the heap then
     // serves variables in the same relative order a fresh solver's would.
     // Equal activities never sift, so index order is already a valid heap
-    // and the variables are appended directly.
-    for (Var v = 0; v < numVars(); ++v) {
-        if (decide_[v] && value(v) == LBool::Undef) {
-            heapPos_[v] = static_cast<int>(heap_.size());
-            heap_.push_back(v);
+    // and the variables are appended directly. Ranges sorted by start
+    // enumerate their union in index order; a variable two ranges share
+    // is taken once.
+    decideRanges_.assign(decide.begin(), decide.end());
+    std::sort(decideRanges_.begin(), decideRanges_.end(),
+              [](const VarRange &a, const VarRange &b) {
+                  return a.begin < b.begin;
+              });
+    for (const VarRange &r : decideRanges_) {
+        for (Var v = r.begin; v < r.end; ++v) {
+            if (decide_[v])
+                continue;
+            decide_[v] = 1;
+            if (value(v) == LBool::Undef) {
+                heapPos_[v] = static_cast<int>(heap_.size());
+                heap_.push_back(v);
+            }
         }
     }
+    varsAtReset_ = numVars();
 }
 
 Var
@@ -392,6 +416,8 @@ Solver::propagate()
 void
 Solver::bumpVar(Var v)
 {
+    if (activity_[v] == 0.0)
+        bumped_.push_back(v);
     activity_[v] += varInc_;
     if (activity_[v] > 1e100) {
         for (double &a : activity_)
@@ -566,12 +592,13 @@ Solver::cancelUntil(int level)
          i-- > static_cast<std::size_t>(trailLim_[level]);) {
         const Lit p = trail_[i];
         const Var v = p.var();
-        savedPhase_[v] = p.sign() ? LBool::False : LBool::True;
         litValue_[p.code()] = LBool::Undef;
         litValue_[p.code() ^ 1] = LBool::Undef;
         varInfo_[v].reason = NoClause;
-        if (decide_[v])
+        if (decide_[v]) {
+            savedPhase_[v] = p.sign() ? LBool::False : LBool::True;
             heapInsert(v);
+        }
     }
     trail_.resize(trailLim_[level]);
     trailLim_.resize(level);

@@ -207,6 +207,9 @@ class Solver
      * clauses that define it, as a term cone of Tseitin gates is: every
      * variable outside it is a free input, which may take any value, or
      * a gate, which takes the value its inputs give it.
+     *
+     * A reset touches the variables the last query bumped, the old and
+     * the new decision set and the heap, not the whole instance.
      */
     void resetDecisionState(std::span<const VarRange> decide);
 
@@ -355,9 +358,14 @@ class Solver
     std::vector<std::vector<Watcher>> watches_; ///< indexed by lit code
     std::vector<std::vector<BinWatcher>> binWatches_; ///< indexed by lit code
     std::vector<LBool> litValue_; ///< indexed by lit code
+    /** Saved only for the decision set: a variable outside it keeps
+     *  False until a reset puts it in. */
     std::vector<LBool> savedPhase_;
     std::vector<VarInfo> varInfo_;
     std::vector<double> activity_;
+    /** Every variable whose activity is nonzero (bumped since the last
+     *  reset), so a reset zeroes only those. */
+    std::vector<Var> bumped_;
     std::vector<Lit> trail_;
     std::vector<int> trailLim_;
     std::size_t qhead_ = 0;
@@ -383,6 +391,10 @@ class Solver
     std::vector<int> heapPos_; ///< -1 when not in heap
     /** 1 for a variable in the decision set: only those enter heap_. */
     std::vector<char> decide_;
+    /** The decision set since the last reset: its ranges, sorted by
+     *  start, and every variable from varsAtReset_ on. */
+    std::vector<VarRange> decideRanges_;
+    Var varsAtReset_ = 0;
 
     std::vector<Lit> conflictCore_;
     std::vector<char> seen_;

@@ -75,8 +75,8 @@ Searcher::pop()
 }
 
 CycleExplorer::CycleExplorer(const rtl::Design &design, smt::TermManager &tm,
-                             smt::Solver &solver, ExplorerOptions opts)
-    : design_(design), tm_(tm), solver_(solver), opts_(opts)
+                             ExplorerOptions opts)
+    : design_(design), tm_(tm), opts_(opts)
 {}
 
 bool
@@ -107,6 +107,9 @@ CycleExplorer::explore(const Binding &binding,
         }
 
         PathState state = searcher.pop();
+        // Each popped state lowers its roots afresh: the memo lives only
+        // as long as one decision map.
+        trace::Span lower_span("sym.lower", "sym");
         Lowering lowering(design_, tm_, binding, &state.decisions);
 
         // Lower every root register's next-state expression. A suspended
@@ -134,14 +137,14 @@ CycleExplorer::explore(const Binding &binding,
             }
             next_regs[sig] = *t;
         }
+        lower_span.close();
 
         if (!suspended) {
             ++leaves;
             stats_.inc("leaves");
             Leaf leaf;
-            leaf.pathCond = state.pathCond;
+            leaf.pathCond = std::move(state.pathCond);
             leaf.nextRegs = std::move(next_regs);
-            leaf.decisions = state.decisions;
             if (!on_leaf(leaf)) {
                 stats_.inc("stopped_by_callback");
                 return false;
@@ -153,27 +156,21 @@ CycleExplorer::explore(const Binding &binding,
         if (pb.ite == rtl::NoExpr)
             panic("lowering suspended without a pending branch");
 
+        // Both children go on the frontier unasked: a leaf's callers
+        // conjoin its path condition into every query they make, so an
+        // infeasible path answers Unsat there. The taken child inherits
+        // the parent's containers.
         stats_.inc("forks");
-        for (bool taken : {false, true}) {
-            PathState child;
-            child.decisions = state.decisions;
-            child.decisions[pb.ite] = taken;
-            child.pathCond = state.pathCond;
-            child.pathCond.push_back(taken ? pb.cond : tm_.mkNot(pb.cond));
+        PathState not_taken;
+        not_taken.decisions = state.decisions;
+        not_taken.decisions.emplace_back(pb.ite, false);
+        not_taken.pathCond = state.pathCond;
+        not_taken.pathCond.push_back(tm_.mkNot(pb.cond));
+        searcher.push(std::move(not_taken));
 
-            stats_.inc("feasibility_queries");
-            // Three-valued on purpose: only a proven-Unsat branch may be
-            // pruned. Unknown (conflict budget exhausted) keeps the
-            // branch — pruning it would silently drop feasible paths.
-            smt::Result fr = solver_.check(child.pathCond, nullptr);
-            if (fr == smt::Result::Unsat) {
-                stats_.inc("infeasible_pruned");
-                continue;
-            }
-            if (fr == smt::Result::Unknown)
-                stats_.inc("feasibility_unknowns");
-            searcher.push(std::move(child));
-        }
+        state.decisions.emplace_back(pb.ite, true);
+        state.pathCond.push_back(pb.cond);
+        searcher.push(std::move(state));
     }
     stats_.inc("completed_explorations");
     return true;

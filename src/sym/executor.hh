@@ -6,6 +6,13 @@
  * leaf carries a path condition and the next-state terms of the explored
  * registers.
  *
+ * The explorer enumerates paths and asks no solver: both children of a
+ * fork are explored, so a leaf's path condition may be unsatisfiable.
+ * Callers decide feasibility: each query they make about a leaf
+ * conjoins its path condition, so an infeasible leaf answers Unsat
+ * there. A hardware decode tree is almost never infeasible, and asking
+ * about every fork cost more than the few paths it cut.
+ *
  * A pluggable Searcher orders the frontier: breadth-first, depth-first,
  * random, or the paper's hybrid interleaving of BFS and DFS with fixed
  * quotas (§II-E2: BFS to touch many instructions quickly, DFS to push
@@ -20,7 +27,6 @@
 #include <vector>
 
 #include "rtl/design.hh"
-#include "solver/solver.hh"
 #include "sym/lower.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -67,8 +73,6 @@ struct Leaf
     std::vector<smt::TermRef> pathCond;
     /** Next-state term for each explored register, indexed by SignalId. */
     std::unordered_map<rtl::SignalId, smt::TermRef> nextRegs;
-    /** Decisions that selected this path (debugging / feedback replay). */
-    Decisions decisions;
 };
 
 /** Frontier with pluggable ordering. */
@@ -95,8 +99,8 @@ class Searcher
 
 /**
  * Explores the design for one clock cycle from a symbolic root state.
- * Each fork's two children are checked for feasibility and a provably
- * infeasible one is pruned (KLEE-style). The caller provides:
+ * Every fork pushes both children; no path is pruned. The caller
+ * provides:
  *  - a Binding for every input and every explored register,
  *  - the set of root registers whose next-state logic to explore,
  *  - optional precondition terms conjoined to every path condition
@@ -110,7 +114,7 @@ class CycleExplorer
     using LeafCallback = std::function<bool(const Leaf &)>;
 
     CycleExplorer(const rtl::Design &design, smt::TermManager &tm,
-                  smt::Solver &solver, ExplorerOptions opts = {});
+                  ExplorerOptions opts = {});
 
     /**
      * Run the exploration.
@@ -126,13 +130,12 @@ class CycleExplorer
                  const std::vector<smt::TermRef> &preconditions,
                  const LeafCallback &on_leaf);
 
-    /** Work counters: forks, leaves, infeasible prunes, solver queries. */
+    /** Work counters: forks, leaves, and why an exploration stopped. */
     const StatGroup &stats() const { return stats_; }
 
   private:
     const rtl::Design &design_;
     smt::TermManager &tm_;
-    smt::Solver &solver_;
     ExplorerOptions opts_;
     StatGroup stats_;
 };

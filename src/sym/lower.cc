@@ -1,5 +1,7 @@
 #include "sym/lower.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace coppelia::sym
@@ -107,7 +109,9 @@ Lowering::lowerRec(ExprRef ref)
                     return std::nullopt;
                 return memoize(*branch);
             }
-            auto dit = decisions_->find(ref);
+            auto dit = std::find_if(
+                decisions_->begin(), decisions_->end(),
+                [ref](const auto &d) { return d.first == ref; });
             if (dit == decisions_->end()) {
                 pending_.ite = ref;
                 pending_.cond = *cond;

@@ -15,6 +15,8 @@
 
 #include <optional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "rtl/design.hh"
 #include "solver/term.hh"
@@ -25,8 +27,11 @@ namespace coppelia::sym
 /** Binding of input/register signals to terms. */
 using Binding = std::unordered_map<rtl::SignalId, smt::TermRef>;
 
-/** Branch decisions accumulated along a path, keyed by the Ite ExprRef. */
-using Decisions = std::unordered_map<rtl::ExprRef, bool>;
+/** Branch decisions accumulated along a path: each decided control
+ *  branch (its Ite ExprRef) and the arm taken, in the order decided. A
+ *  path decides a few dozen branches at most, so a linear lookup is
+ *  enough, and a fork copies the list in one allocation. */
+using Decisions = std::vector<std::pair<rtl::ExprRef, bool>>;
 
 /** A suspended lowering: the control branch that needs a decision. */
 struct PendingBranch

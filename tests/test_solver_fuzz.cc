@@ -119,7 +119,7 @@ TEST_P(FuzzDesign, SymbolicLeavesMatchSimulation)
     smt::Solver solver(tm);
     sym::ExplorerOptions opts;
     opts.maxLeaves = 40;
-    sym::CycleExplorer ex(d, tm, solver, opts);
+    sym::CycleExplorer ex(d, tm, opts);
 
     std::vector<rtl::SignalId> regs;
     for (rtl::SignalId s = 0; s < d.numSignals(); ++s) {

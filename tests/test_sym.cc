@@ -2,17 +2,21 @@
  * @file
  * Tests for the symbolic executor: forking at control branches, path
  * condition consistency, searcher orderings, lowering without decisions,
- * and the key soundness property that for any leaf and any model of its
- * path condition, the leaf's next-state terms agree with one concrete
- * simulation step of the design.
+ * the lowering span in a traced exploration, and the key soundness
+ * property that for any leaf and any model of its path condition, the
+ * leaf's next-state terms agree with one concrete simulation step of the
+ * design.
  */
 
 #include <gtest/gtest.h>
 
 #include "rtl/builder.hh"
 #include "rtl/sim.hh"
+#include "solver/solver.hh"
 #include "sym/binding.hh"
 #include "sym/executor.hh"
+#include "trace/fold.hh"
+#include "trace/trace.hh"
 #include "util/rng.hh"
 
 namespace coppelia::sym
@@ -58,7 +62,7 @@ class ToyExplore : public ::testing::Test
 
 TEST_F(ToyExplore, EnumeratesAllPaths)
 {
-    CycleExplorer ex(d, tm, solver);
+    CycleExplorer ex(d, tm);
     BoundState bs = bindCycle(d, tm, {d.signalIdOf("acc")}, {}, "c0_");
     int leaves = 0;
     bool completed = ex.explore(
@@ -75,7 +79,7 @@ TEST_F(ToyExplore, EnumeratesAllPaths)
 
 TEST_F(ToyExplore, CallbackCanStopEarly)
 {
-    CycleExplorer ex(d, tm, solver);
+    CycleExplorer ex(d, tm);
     BoundState bs = bindCycle(d, tm, {d.signalIdOf("acc")}, {}, "c0_");
     int leaves = 0;
     bool completed = ex.explore(
@@ -90,30 +94,38 @@ TEST_F(ToyExplore, CallbackCanStopEarly)
 
 TEST_F(ToyExplore, PreconditionPrunesPaths)
 {
-    CycleExplorer ex(d, tm, solver);
+    CycleExplorer ex(d, tm);
     BoundState bs = bindCycle(d, tm, {d.signalIdOf("acc")}, {}, "c0_");
-    // Constrain op == 2: only the clear path remains feasible.
+    // Constrain op == 2: only the clear path remains feasible. The
+    // explorer asks no solver, so all three decode paths reach the
+    // callback, and the precondition in each path condition leaves the
+    // caller's query satisfiable on exactly one of them.
     TermRef pre =
         tm.mkEq(bs.inputVars.at(d.signalIdOf("op")), tm.mkConst(2, 2));
     int leaves = 0;
+    int feasible = 0;
     ex.explore(bs.binding, {d.signalIdOf("acc")}, {pre},
                [&](const Leaf &leaf) {
                    ++leaves;
-                   // The next acc must be the constant 0 on this path.
                    smt::Model m;
+                   if (solver.check(leaf.pathCond, &m) != smt::Result::Sat)
+                       return true;
+                   ++feasible;
+                   // The next acc must be the constant 0 on this path.
                    std::vector<TermRef> q = leaf.pathCond;
                    TermRef next = leaf.nextRegs.at(d.signalIdOf("acc"));
                    q.push_back(tm.mkNot(tm.mkEq(next, tm.mkConst(8, 0))));
                    EXPECT_EQ(solver.check(q, &m), smt::Result::Unsat);
                    return true;
                });
-    EXPECT_EQ(leaves, 1);
-    EXPECT_GE(ex.stats().get("infeasible_pruned"), 1u);
+    EXPECT_EQ(leaves, 3);
+    EXPECT_EQ(feasible, 1);
+    EXPECT_EQ(ex.stats().get("forks"), 2u);
 }
 
 TEST_F(ToyExplore, ConcreteRegisterSkipsSymbolicState)
 {
-    CycleExplorer ex(d, tm, solver);
+    CycleExplorer ex(d, tm);
     // acc pinned to 5 concretely (not in the symbolic set).
     BoundState bs = bindCycle(d, tm, {}, {{d.signalIdOf("acc"), 5}}, "c0_");
     EXPECT_EQ(bs.regVars.size(), 0u);
@@ -138,7 +150,7 @@ TEST_F(ToyExplore, MaxLeavesLimitStops)
 {
     ExplorerOptions opts;
     opts.maxLeaves = 1;
-    CycleExplorer ex(d, tm, solver, opts);
+    CycleExplorer ex(d, tm, opts);
     BoundState bs = bindCycle(d, tm, {d.signalIdOf("acc")}, {}, "c0_");
     int leaves = 0;
     bool completed = ex.explore(bs.binding, {d.signalIdOf("acc")}, {},
@@ -148,6 +160,36 @@ TEST_F(ToyExplore, MaxLeavesLimitStops)
                                 });
     EXPECT_FALSE(completed);
     EXPECT_EQ(leaves, 1);
+}
+
+TEST_F(ToyExplore, TraceFoldsLoweringUnderExplore)
+{
+    // Every popped state lowers its roots inside one sym.lower span, and
+    // nothing else nests in sym.explore: the explorer asks no solver and
+    // this callback makes no query. So the fold splits sym.explore's
+    // time exactly into sym.lower and the explorer's own self time.
+    trace::setEnabled(false);
+    trace::clear();
+    trace::setEnabled(true);
+    CycleExplorer ex(d, tm);
+    BoundState bs = bindCycle(d, tm, {d.signalIdOf("acc")}, {}, "c0_");
+    ex.explore(bs.binding, {d.signalIdOf("acc")}, {},
+               [](const Leaf &) { return true; });
+    trace::setEnabled(false);
+    const trace::FoldReport report = trace::foldLive();
+    trace::clear();
+
+    const trace::FoldRow *explore = report.find("sym.explore");
+    const trace::FoldRow *lower = report.find("sym.lower");
+    ASSERT_NE(explore, nullptr);
+    ASSERT_NE(lower, nullptr);
+    EXPECT_EQ(explore->count, 1u);
+    // One lowering per popped state: the root, the two forks' children.
+    EXPECT_EQ(lower->count,
+              ex.stats().get("forks") + ex.stats().get("leaves"));
+    EXPECT_EQ(lower->count, 5u);
+    EXPECT_EQ(lower->selfUs, lower->totalUs);
+    EXPECT_EQ(explore->selfUs + lower->totalUs, explore->totalUs);
 }
 
 TEST_F(ToyExplore, LoweringWithoutDecisionsSuspendsAtBranch)
@@ -241,7 +283,7 @@ TEST_P(SymConcreteAgreement, LeafModelsMatchSimulation)
     ExplorerOptions opts;
     opts.seed = seed + 1;
     opts.search = static_cast<SearchMode>(seed % 4);
-    CycleExplorer ex(d, tm, solver, opts);
+    CycleExplorer ex(d, tm, opts);
     const rtl::SignalId acc = d.signalIdOf("acc");
     BoundState bs = bindCycle(d, tm, {acc}, {}, "c0_");
 
@@ -249,7 +291,7 @@ TEST_P(SymConcreteAgreement, LeafModelsMatchSimulation)
     ex.explore(bs.binding, {acc}, {}, [&](const Leaf &leaf) {
         smt::Model m;
         if (solver.check(leaf.pathCond, &m) != smt::Result::Sat)
-            return true; // feasibility pruning should prevent this
+            return true; // an infeasible path: nothing to simulate
         // Drive the simulator with the model's inputs and register state.
         rtl::Simulator sim(d);
         sim.pokeRegister(acc,
