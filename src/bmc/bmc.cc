@@ -118,8 +118,7 @@ checkAssertion(const rtl::Design &design,
         input_vars_per_t.push_back(ivars);
 
         // Monolithic transition relation (control branches as ite terms).
-        sym::Lowering lowering(design, tm, binding, /*decisions=*/nullptr,
-                               /*branches_as_ite=*/true);
+        sym::Lowering lowering(design, tm, binding, /*branches_as_ite=*/true);
         std::unordered_map<SignalId, TermRef> next;
         for (SignalId sig = 0; sig < design.numSignals(); ++sig) {
             const rtl::Signal &s = design.signal(sig);
@@ -136,7 +135,7 @@ checkAssertion(const rtl::Design &design,
         }
 
         // Violation at this depth?
-        sym::Lowering assert_lower(design, tm, next, /*decisions=*/nullptr,
+        sym::Lowering assert_lower(design, tm, next,
                                    /*branches_as_ite=*/true);
         auto safe = assert_lower.lower(assertion.cond);
         if (!safe)

@@ -205,7 +205,6 @@ BackwardEngine::searchTrigger(const props::Assertion &assertion,
     auto refuteLevel = [&](const Level &level,
                            std::vector<TermRef> query, TermRef diff_bound) {
         sym::Lowering lowering(design_, tm, level.bound.binding,
-                               /*decisions=*/nullptr,
                                /*branches_as_ite=*/true);
         std::unordered_map<SignalId, TermRef> next_regs;
         for (SignalId sig : sym_regs) {

@@ -94,23 +94,29 @@ CycleExplorer::explore(const Binding &binding,
     searcher.push(std::move(initial));
 
     std::uint64_t leaves = 0;
+    // One lowering serves every popped state of this exploration.
+    Lowering lowering(design_, tm_, binding);
+    auto finish = [&](bool completed) {
+        stats_.inc("lowered_nodes", lowering.lowered());
+        return completed;
+    };
 
     while (!searcher.empty()) {
         if (opts_.maxLeaves && leaves >= opts_.maxLeaves) {
             stats_.inc("stopped_max_leaves");
-            return false;
+            return finish(false);
         }
         if (opts_.timeLimitSeconds > 0 &&
             timer.seconds() > opts_.timeLimitSeconds) {
             stats_.inc("stopped_time_limit");
-            return false;
+            return finish(false);
         }
 
         PathState state = searcher.pop();
-        // Each popped state lowers its roots afresh: the memo lives only
-        // as long as one decision map.
+        // The popped state's lowering reuses every memo entry built from
+        // decisions it shares with the previous one, and lowers the rest.
         trace::Span lower_span("sym.lower", "sym");
-        Lowering lowering(design_, tm_, binding, &state.decisions);
+        lowering.switchPath(state.decisions);
 
         // Lower every root register's next-state expression. A suspended
         // lowering means an undecided control branch: fork.
@@ -147,7 +153,7 @@ CycleExplorer::explore(const Binding &binding,
             leaf.nextRegs = std::move(next_regs);
             if (!on_leaf(leaf)) {
                 stats_.inc("stopped_by_callback");
-                return false;
+                return finish(false);
             }
             continue;
         }
@@ -173,7 +179,7 @@ CycleExplorer::explore(const Binding &binding,
         searcher.push(std::move(state));
     }
     stats_.inc("completed_explorations");
-    return true;
+    return finish(true);
 }
 
 } // namespace coppelia::sym

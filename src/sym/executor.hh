@@ -13,6 +13,11 @@
  * there. A hardware decode tree is almost never infeasible, and asking
  * about every fork cost more than the few paths it cut.
  *
+ * One sym::Lowering serves a whole exploration. Each popped path hands
+ * it its decisions through Lowering::switchPath, which keeps every memo
+ * entry built from decisions the path shares with the one before, so a
+ * path lowers only what its own decisions change.
+ *
  * A pluggable Searcher orders the frontier: breadth-first, depth-first,
  * random, or the paper's hybrid interleaving of BFS and DFS with fixed
  * quotas (§II-E2: BFS to touch many instructions quickly, DFS to push
@@ -130,7 +135,8 @@ class CycleExplorer
                  const std::vector<smt::TermRef> &preconditions,
                  const LeafCallback &on_leaf);
 
-    /** Work counters: forks, leaves, and why an exploration stopped. */
+    /** Work counters: forks, leaves, lowered_nodes (expression nodes
+     *  lowered, i.e. memo misses), and why an exploration stopped. */
     const StatGroup &stats() const { return stats_; }
 
   private:

@@ -12,36 +12,68 @@ using rtl::Op;
 using rtl::SignalId;
 using smt::TermRef;
 
-namespace
-{
-
-/** What a Lowering built without decisions consults. */
-const Decisions kNoDecisions;
-
-} // namespace
-
 Lowering::Lowering(const rtl::Design &design, smt::TermManager &tm,
-                   const Binding &binding, const Decisions *decisions,
-                   bool branches_as_ite)
+                   const Binding &binding, bool branches_as_ite)
     : design_(design), tm_(tm), binding_(binding),
-      decisions_(decisions ? decisions : &kNoDecisions),
       branchesAsIte_(branches_as_ite)
 {}
+
+void
+Lowering::switchPath(const Decisions &decisions)
+{
+    std::size_t shared = 0;
+    while (shared < path_.size() && shared < decisions.size() &&
+           path_[shared] == decisions[shared])
+        ++shared;
+    // An entry at level L read only decisions 0..L-1: those past the
+    // shared prefix may differ, so every level beyond it goes stale.
+    // Levels past the old path's depth hold no live entry.
+    for (std::size_t level = shared + 1; level <= path_.size(); ++level)
+        ++epochs_[level];
+    path_ = decisions;
+    if (epochs_.size() <= path_.size())
+        epochs_.resize(path_.size() + 1, 0);
+}
+
+TermRef
+Lowering::read(const Entry &entry)
+{
+    level_ = std::max(level_, entry.level);
+    return entry.term;
+}
+
+Lowering::Entry
+Lowering::settle(TermRef term, std::uint32_t outer)
+{
+    const Entry entry{term, level_, epochs_[level_]};
+    level_ = std::max(outer, level_);
+    return entry;
+}
 
 std::optional<TermRef>
 Lowering::lower(ExprRef ref)
 {
     pending_ = PendingBranch{};
+    level_ = 0;
     return lowerRec(ref);
 }
 
 std::optional<TermRef>
 Lowering::lowerSignal(SignalId sig)
 {
-    auto it = sigMemo_.find(sig);
-    if (it != sigMemo_.end())
-        return it->second;
+    level_ = 0;
+    return lowerSignalRec(sig);
+}
 
+std::optional<TermRef>
+Lowering::lowerSignalRec(SignalId sig)
+{
+    auto it = sigMemo_.find(sig);
+    if (it != sigMemo_.end() && live(it->second))
+        return read(it->second);
+
+    const std::uint32_t outer = level_;
+    level_ = 0;
     const rtl::Signal &s = design_.signal(sig);
     switch (s.kind) {
       case rtl::SignalKind::Input:
@@ -52,20 +84,20 @@ Lowering::lowerSignal(SignalId sig)
                                   ? "input"
                                   : "register",
                   " signal in lowering: ", s.name);
-        sigMemo_[sig] = bit->second;
+        sigMemo_[sig] = settle(bit->second, outer);
         return bit->second;
       }
       case rtl::SignalKind::Wire: {
         if (s.def == rtl::NoExpr) {
             // Undriven wire reads as zero (matches the simulator).
             TermRef z = tm_.mkConst(s.width, 0);
-            sigMemo_[sig] = z;
+            sigMemo_[sig] = settle(z, outer);
             return z;
         }
         auto t = lowerRec(s.def);
         if (!t)
             return std::nullopt;
-        sigMemo_[sig] = *t;
+        sigMemo_[sig] = settle(*t, outer);
         return t;
       }
     }
@@ -76,13 +108,18 @@ std::optional<TermRef>
 Lowering::lowerRec(ExprRef ref)
 {
     auto it = exprMemo_.find(ref);
-    if (it != exprMemo_.end())
-        return it->second;
+    if (it != exprMemo_.end() && live(it->second))
+        return read(it->second);
 
+    // A miss: this node's level starts at 0 and gathers what its operands
+    // read; memoize() folds it back into the enclosing node's level.
+    ++lowered_;
+    const std::uint32_t outer = level_;
+    level_ = 0;
     const rtl::Expr &e = design_.expr(ref);
 
-    auto memoize = [this, ref](TermRef t) {
-        exprMemo_[ref] = t;
+    auto memoize = [this, ref, outer](TermRef t) {
+        exprMemo_[ref] = settle(t, outer);
         return std::optional<TermRef>(t);
     };
 
@@ -90,7 +127,7 @@ Lowering::lowerRec(ExprRef ref)
       case Op::Const:
         return memoize(tm_.mkConst(e.width, e.imm));
       case Op::Signal: {
-        auto t = lowerSignal(e.sig);
+        auto t = lowerSignalRec(e.sig);
         if (!t)
             return std::nullopt;
         return memoize(*t);
@@ -110,13 +147,15 @@ Lowering::lowerRec(ExprRef ref)
                 return memoize(*branch);
             }
             auto dit = std::find_if(
-                decisions_->begin(), decisions_->end(),
+                path_.begin(), path_.end(),
                 [ref](const auto &d) { return d.first == ref; });
-            if (dit == decisions_->end()) {
+            if (dit == path_.end()) {
                 pending_.ite = ref;
                 pending_.cond = *cond;
                 return std::nullopt;
             }
+            level_ = std::max(
+                level_, static_cast<std::uint32_t>(dit - path_.begin() + 1));
             auto branch = lowerRec(dit->second ? e.args[1] : e.args[2]);
             if (!branch)
                 return std::nullopt;

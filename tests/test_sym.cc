@@ -2,14 +2,22 @@
  * @file
  * Tests for the symbolic executor: forking at control branches, path
  * condition consistency, searcher orderings, lowering without decisions,
- * the lowering span in a traced exploration, and the key soundness
- * property that for any leaf and any model of its path condition, the
- * leaf's next-state terms agree with one concrete simulation step of the
- * design.
+ * the lowering span in a traced exploration, the one lowering an
+ * exploration shares across its paths (switching between sibling paths,
+ * the nodes it saves, and a differential against a fresh lowering per
+ * path on every OR1200 assertion cone and on Mor1kx and RI5CY cones),
+ * and the key soundness property that for any leaf and any model of its
+ * path condition, the leaf's next-state terms agree with one concrete
+ * simulation step of the design.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "coi/coi.hh"
+#include "cpu/or1k/core.hh"
+#include "cpu/riscv/core.hh"
 #include "rtl/builder.hh"
 #include "rtl/sim.hh"
 #include "solver/solver.hh"
@@ -50,6 +58,74 @@ toyMachine()
                          acc);
     b.next(acc, next);
     return d;
+}
+
+/** A leaf as the shared-memo differential compares it: the path
+ *  condition, and the next-state terms sorted by register. */
+using LeafKey = std::pair<std::vector<TermRef>,
+                          std::vector<std::pair<rtl::SignalId, TermRef>>>;
+
+LeafKey
+leafKey(std::vector<TermRef> path_cond,
+        const std::unordered_map<rtl::SignalId, TermRef> &next_regs)
+{
+    std::vector<std::pair<rtl::SignalId, TermRef>> next(next_regs.begin(),
+                                                        next_regs.end());
+    std::sort(next.begin(), next.end());
+    return {std::move(path_cond), std::move(next)};
+}
+
+/** What the reference explorer produced. */
+struct FreshRun
+{
+    std::vector<LeafKey> leaves; ///< sorted
+    std::uint64_t lowered = 0;   ///< nodes all its Lowerings lowered
+};
+
+/**
+ * The cycle explorer's loop as it was before one lowering served a whole
+ * exploration: a stack of (decisions, path condition) and a fresh
+ * Lowering per popped state, forking both arms of each pending branch.
+ */
+FreshRun
+exploreWithFreshLowerings(const Design &d, smt::TermManager &tm,
+                          const Binding &binding,
+                          const std::vector<rtl::SignalId> &roots)
+{
+    FreshRun run;
+    std::vector<PathState> stack(1);
+    while (!stack.empty()) {
+        PathState state = std::move(stack.back());
+        stack.pop_back();
+        Lowering lowering(d, tm, binding);
+        lowering.switchPath(state.decisions);
+        std::unordered_map<rtl::SignalId, TermRef> next;
+        bool suspended = false;
+        for (rtl::SignalId sig : roots) {
+            const rtl::ExprRef def = d.signal(sig).def;
+            auto t = def == rtl::NoExpr ? lowering.lowerSignal(sig)
+                                        : lowering.lower(def);
+            if (!t) {
+                suspended = true;
+                break;
+            }
+            next[sig] = *t;
+        }
+        run.lowered += lowering.lowered();
+        if (!suspended) {
+            run.leaves.push_back(leafKey(std::move(state.pathCond), next));
+            continue;
+        }
+        const PendingBranch &pb = lowering.pending();
+        for (bool arm : {false, true}) {
+            PathState child = state;
+            child.decisions.emplace_back(pb.ite, arm);
+            child.pathCond.push_back(arm ? pb.cond : tm.mkNot(pb.cond));
+            stack.push_back(std::move(child));
+        }
+    }
+    std::sort(run.leaves.begin(), run.leaves.end());
+    return run;
 }
 
 class ToyExplore : public ::testing::Test
@@ -194,15 +270,69 @@ TEST_F(ToyExplore, TraceFoldsLoweringUnderExplore)
 
 TEST_F(ToyExplore, LoweringWithoutDecisionsSuspendsAtBranch)
 {
-    // `{}` selects no decision map at all, so nothing dangles once this
-    // statement ends: the op decode's first control branch suspends the
-    // lowering and is reported as pending.
+    // A Lowering starts on the empty path, and every caller but the
+    // explorer keeps it there: the op decode's first control branch
+    // suspends the lowering and is reported as pending.
     BoundState bs = bindCycle(d, tm, {d.signalIdOf("acc")}, {}, "c0_");
-    Lowering lowering(d, tm, bs.binding, {});
+    Lowering lowering(d, tm, bs.binding);
     const rtl::ExprRef next = d.signal(d.signalIdOf("acc")).def;
     EXPECT_FALSE(lowering.lower(next).has_value());
     EXPECT_NE(lowering.pending().ite, rtl::NoExpr);
     EXPECT_NE(lowering.pending().cond, smt::NoTerm);
+}
+
+TEST_F(ToyExplore, SwitchingBetweenSiblingPathsKeepsTheirTerms)
+{
+    // The decode is ite(op == 1, acc + imm, ite(op == 2, 0, acc)). Paths
+    // A and B share the outer branch's else arm and take opposite arms of
+    // the inner one, so each switch keeps the conditions' entries and
+    // must drop every entry that read the inner decision.
+    const rtl::SignalId acc = d.signalIdOf("acc");
+    BoundState bs = bindCycle(d, tm, {acc}, {}, "c0_");
+    const rtl::ExprRef next = d.signal(acc).def;
+    Lowering probe(d, tm, bs.binding);
+    ASSERT_FALSE(probe.lower(next).has_value());
+    const rtl::ExprRef outer = probe.pending().ite;
+    probe.switchPath({{outer, false}});
+    ASSERT_FALSE(probe.lower(next).has_value());
+    const rtl::ExprRef inner = probe.pending().ite;
+    const Decisions path_a = {{outer, false}, {inner, true}};
+    const Decisions path_b = {{outer, false}, {inner, false}};
+
+    auto fresh = [&](const Decisions &path) {
+        Lowering lowering(d, tm, bs.binding);
+        lowering.switchPath(path);
+        return lowering.lower(next);
+    };
+    const auto term_a = fresh(path_a);
+    const auto term_b = fresh(path_b);
+    ASSERT_TRUE(term_a.has_value());
+    ASSERT_TRUE(term_b.has_value());
+    EXPECT_EQ(*term_a, tm.mkConst(8, 0));
+    EXPECT_EQ(*term_b, bs.regVars.at(acc));
+
+    Lowering shared(d, tm, bs.binding);
+    for (const Decisions *path : {&path_a, &path_b, &path_a}) {
+        shared.switchPath(*path);
+        EXPECT_EQ(shared.lower(next), path == &path_a ? term_a : term_b);
+    }
+}
+
+TEST_F(ToyExplore, SiblingPathsShareTheirLowering)
+{
+    // Five pops: the root, both arms of the outer branch, both arms of
+    // the inner one. Fresh lowerings re-lower every path's decode from
+    // its leaves up; the explorer's one lowering keeps the conditions and
+    // operands every path reads, and lowers again only the branch nodes
+    // above a decision the next path does not share.
+    const rtl::SignalId acc = d.signalIdOf("acc");
+    BoundState bs = bindCycle(d, tm, {acc}, {}, "c0_");
+    CycleExplorer ex(d, tm);
+    ex.explore(bs.binding, {acc}, {}, [](const Leaf &) { return true; });
+    const FreshRun fresh = exploreWithFreshLowerings(d, tm, bs.binding, {acc});
+    EXPECT_EQ(ex.stats().get("forks") + ex.stats().get("leaves"), 5u);
+    EXPECT_EQ(fresh.lowered, 34u);
+    EXPECT_EQ(ex.stats().get("lowered_nodes"), 17u);
 }
 
 TEST(Searcher, BfsIsFifo)
@@ -310,6 +440,68 @@ TEST_P(SymConcreteAgreement, LeafModelsMatchSimulation)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SymConcreteAgreement,
                          ::testing::Range(0, 8));
+
+/**
+ * The explorer's one lowering per exploration against a fresh lowering
+ * per popped path, on the real cores: for every assertion cone of the
+ * OR1200, and for cones of the Mor1kx and the RI5CY, each search order
+ * must yield exactly the leaves of the reference loop. A memo entry kept
+ * across a switch that read a decision the new path does not share
+ * changes a term, and the hash-consed TermRefs then differ.
+ */
+TEST(SymSharedMemo, LeavesMatchFreshLoweringOnCores)
+{
+    auto check = [](const Design &d,
+                    const std::vector<props::Assertion> &assertions) {
+        smt::TermManager tm;
+        for (const props::Assertion &assertion : assertions) {
+            // The cone as BackwardEngine::symbolicRegisters takes it.
+            const coi::CoiResult cone = coi::analyze(d, assertion.vars);
+            std::vector<rtl::SignalId> roots(cone.coneRegisters.begin(),
+                                             cone.coneRegisters.end());
+            std::sort(roots.begin(), roots.end());
+            BoundState bs = bindCycle(d, tm, cone.coneRegisters, {}, "c0_");
+            const FreshRun want =
+                exploreWithFreshLowerings(d, tm, bs.binding, roots);
+            ASSERT_GT(want.leaves.size(), 1u) << assertion.id;
+            for (SearchMode mode : {SearchMode::BFS, SearchMode::DFS,
+                                    SearchMode::Random, SearchMode::Hybrid}) {
+                ExplorerOptions opts;
+                opts.search = mode;
+                CycleExplorer ex(d, tm, opts);
+                std::vector<LeafKey> got;
+                EXPECT_TRUE(ex.explore(bs.binding, roots, {},
+                                       [&](const Leaf &leaf) {
+                                           got.push_back(leafKey(
+                                               leaf.pathCond,
+                                               leaf.nextRegs));
+                                           return true;
+                                       }));
+                std::sort(got.begin(), got.end());
+                // Compared whole: gtest would print every term of a miss.
+                EXPECT_TRUE(got == want.leaves)
+                    << d.name() << " " << assertion.id << " "
+                    << searchModeName(mode) << ": " << got.size()
+                    << " leaves against " << want.leaves.size();
+                EXPECT_LT(ex.stats().get("lowered_nodes"), want.lowered)
+                    << d.name() << " " << assertion.id << " "
+                    << searchModeName(mode);
+            }
+        }
+    };
+    Design or1200 = cpu::or1k::buildOr1200();
+    const auto or1200_assertions = cpu::or1k::or1200Assertions(or1200);
+    ASSERT_EQ(or1200_assertions.size(), 35u);
+    check(or1200, or1200_assertions);
+
+    Design mor1kx = cpu::or1k::buildMor1kx();
+    const auto mor1kx_assertions = cpu::or1k::mor1kxAssertions(mor1kx);
+    check(mor1kx, mor1kx_assertions);
+
+    Design ri5cy = cpu::riscv::buildRi5cy();
+    const auto ri5cy_assertions = cpu::riscv::ri5cyAssertions(ri5cy);
+    check(ri5cy, ri5cy_assertions);
+}
 
 } // namespace
 } // namespace coppelia::sym
